@@ -1,6 +1,6 @@
 /// Fault-churn workload: resource failures under a large running mix, the
 /// scenario the cnst -> actions failure index exists for. Before the index,
-/// `fail_actions_on_constraint` and the sleep sweep scanned *every* running
+/// the constraint and sleep failure sweeps scanned *every* running
 /// action per failure (quadratic-ish once failures scale with the platform);
 /// now a failure costs O(actions actually on the dead resource).
 ///

@@ -174,8 +174,9 @@ void Action::resume() {
 void Action::cancel() {
   if (state_ != ActionState::kRunning && state_ != ActionState::kSuspended)
     return;
-  engine_->finish_action(engine_->shards_[static_cast<size_t>(shard_)].running[run_idx_],
-                         ActionState::kCanceled, nullptr);
+  engine_->finish_action(Engine::Delivery{-1, &engine_->pending_, nullptr},
+                         engine_->shards_[static_cast<size_t>(shard_)].running[run_idx_],
+                         ActionState::kCanceled);
 }
 
 double Action::remaining() const {
@@ -236,12 +237,12 @@ ActionPtr make_action(const std::shared_ptr<ActionBlockPool>& pool, Engine* engi
 }
 }  // namespace
 
-void Engine::set_action_name(Action* action, const std::string& name) {
-  if (name == kDefaultNames[static_cast<size_t>(action->kind_)])
+void Engine::set_action_name(Action* action, std::string_view name) {
+  if (name.empty() || name == kDefaultNames[static_cast<size_t>(action->kind_)])
     return;
   // The name lives in the action's shard's pool (shard_ must be set first).
   ActionBlockPool& pool = *shards_[static_cast<size_t>(action->shard_)].pool;
-  pool.names[action] = name;
+  pool.names[action] = std::string(name);
   action->pool_ = &pool;
   action->has_name_ = true;
 }
@@ -377,15 +378,7 @@ void Engine::sync_head_trees() {
   }
 }
 
-ActionPtr Engine::exec_start(int host, double flops, double priority) {
-  return exec_start_impl(host, flops, priority, nullptr);
-}
-
-ActionPtr Engine::exec_start(int host, double flops, double priority, const std::string& name) {
-  return exec_start_impl(host, flops, priority, &name);
-}
-
-ActionPtr Engine::exec_start_impl(int host, double flops, double priority, const std::string* name) {
+ActionPtr Engine::exec_start(int host, double flops, double priority, std::string_view name) {
   HostRes& res = hosts_.at(static_cast<size_t>(host));
   if (!res.on) {
     if (!platform_.host_present(host))
@@ -396,8 +389,7 @@ ActionPtr Engine::exec_start_impl(int host, double flops, double priority, const
                             flops, priority);
   action->host_ = host;
   action->shard_ = res.shard;
-  if (name != nullptr)
-    set_action_name(action.get(), *name);  // before notify: observers read name()
+  set_action_name(action.get(), name);  // before notify: observers read name()
   bind_var(action.get(), sys_.new_variable(priority));
   sys_.expand(res.cnst, action->var_, 1.0);
   add_running(action);
@@ -416,16 +408,7 @@ ShardedMaxMin::CnstId Engine::loopback_constraint(int host) {
 }
 
 ActionPtr Engine::comm_start(int src_host, int dst_host, double bytes, double rate_limit,
-                             const std::string& name) {
-  return comm_start_impl(src_host, dst_host, bytes, rate_limit, &name);
-}
-
-ActionPtr Engine::comm_start(int src_host, int dst_host, double bytes, double rate_limit) {
-  return comm_start_impl(src_host, dst_host, bytes, rate_limit, nullptr);
-}
-
-ActionPtr Engine::comm_start_impl(int src_host, int dst_host, double bytes, double rate_limit,
-                                  const std::string* name) {
+                             std::string_view name) {
   // Resolve the route (and the shard affinity that follows from it) before
   // allocating, so the action comes from its own shard's block pool.
   // Heap/solver affinity: intra-zone transfers stay in their zone's shard;
@@ -461,11 +444,10 @@ ActionPtr Engine::comm_start_impl(int src_host, int dst_host, double bytes, doub
   action->host_ = src_host;
   action->peer_host_ = dst_host;
   action->shard_ = shard;
-  if (name != nullptr)
-    set_action_name(action.get(), *name);  // before notify: observers read name()
+  set_action_name(action.get(), name);  // before notify: observers read name()
 
   if (dead_route) {
-    // The communication fails immediately; report it through the next step
+    // The communication fails immediately; report it through the next round
     // so the kernel sees a normal failure event.
     action->state_ = ActionState::kFailed;
     action->finish_time_ = now_;
@@ -507,14 +489,7 @@ ActionPtr Engine::comm_start_impl(int src_host, int dst_host, double bytes, doub
 }
 
 ActionPtr Engine::ptask_start(const std::vector<int>& hosts, const std::vector<double>& flops,
-                              const std::vector<std::vector<double>>& bytes, const std::string& name) {
-  auto action = ptask_start(hosts, flops, bytes);
-  set_action_name(action.get(), name);
-  return action;
-}
-
-ActionPtr Engine::ptask_start(const std::vector<int>& hosts, const std::vector<double>& flops,
-                              const std::vector<std::vector<double>>& bytes) {
+                              const std::vector<std::vector<double>>& bytes, std::string_view name) {
   if (hosts.empty() || flops.size() != hosts.size())
     throw xbt::InvalidArgument("ptask_start: hosts/flops size mismatch");
   if (!bytes.empty() && bytes.size() != hosts.size())
@@ -540,6 +515,7 @@ ActionPtr Engine::ptask_start(const std::vector<int>& hosts, const std::vector<d
   auto action = make_action(shards_[static_cast<size_t>(shard)].pool, this, ActionKind::kPtask,
                             1.0, 1.0);
   action->shard_ = shard;
+  set_action_name(action.get(), name);  // before notify: observers read name()
   bind_var(action.get(), sys_.new_variable(0.0));
 
   double latency = 0.0;
@@ -569,16 +545,11 @@ ActionPtr Engine::ptask_start(const std::vector<int>& hosts, const std::vector<d
   add_running(action);
   if (action->in_latency_phase_)
     schedule_completion(action);
+  notify(*action, ActionState::kRunning, ActionState::kRunning);
   return action;
 }
 
-ActionPtr Engine::sleep_start(int host, double duration, const std::string& name) {
-  auto action = sleep_start(host, duration);
-  set_action_name(action.get(), name);
-  return action;
-}
-
-ActionPtr Engine::sleep_start(int host, double duration) {
+ActionPtr Engine::sleep_start(int host, double duration, std::string_view name) {
   HostRes& res = hosts_.at(static_cast<size_t>(host));
   if (!res.on) {
     if (!platform_.host_present(host))
@@ -590,12 +561,14 @@ ActionPtr Engine::sleep_start(int host, double duration) {
   action->host_ = host;
   action->shard_ = res.shard;
   action->rate_ = 1.0;  // time passes at rate 1
+  set_action_name(action.get(), name);  // before notify: observers read name()
   // Sleeps have no solver variable, so the arena cannot index them; the
   // per-host sleep list keeps host-failure sweeps O(affected).
   action->host_list_idx_ = static_cast<std::uint32_t>(res.sleeps.size());
   res.sleeps.push_back(action.get());
   add_running(action);
   schedule_completion(action);  // sleeps never change rate: date known now
+  notify(*action, ActionState::kRunning, ActionState::kRunning);
   return action;
 }
 
@@ -854,17 +827,6 @@ double Engine::next_event_time() {
   return std::min(next_completion_date(), next_trace_time());
 }
 
-std::vector<ActionEvent> Engine::step(double bound) {
-  const StepLog log = run_until(bound);
-  std::vector<ActionEvent> out;
-  out.reserve(log.size());
-  out.insert(out.end(), log.begin(), log.end());
-  // Release the published buffers right away: like the old move-out, this
-  // drops the engine's strong references to the fired actions immediately.
-  release_step_log();
-  return out;
-}
-
 void Engine::release_step_log() {
   for (const std::int32_t owner : log_owners_)
     if (owner >= 0)
@@ -1011,10 +973,11 @@ void Engine::advance_shard(int shard, double target, double eps) {
   // Trace events due now — applied BEFORE the heap events at the same date
   // (see kTraceEventsBeforeCompletions): a resource dying exactly when an
   // action would complete fails the action.
+  const Delivery lane{shard, &ss.fired, &ss.notices};
   while (!ss.traces.empty() && ss.traces.top().time <= now_ + kTimeEps) {
     const TraceEvent ev = ss.traces.top();
     ss.traces.pop();
-    apply_trace_event(shard, ev);
+    apply_trace_event(lane, ev);
   }
 
   // Pop every due event-heap entry (latency expiries from the small near-
@@ -1041,31 +1004,37 @@ void Engine::advance_shard(int shard, double target, double eps) {
         !a->in_endpoint_lists_ ||
         (hosts_[static_cast<size_t>(a->host_)].shard == shard &&
          hosts_[static_cast<size_t>(a->peer_host_)].shard == shard);
-    if (a->in_latency_phase_) {
-      if (home == shard && lists_local) {
-        // Latency just expired: start consuming bandwidth. The data phase
-        // gets its rate (and completion date) from the next sharing
-        // recomputation — unless there is no data to transfer at all.
-        sync_progress(*a);
-        a->in_latency_phase_ = false;
-        a->latency_remaining_ = 0;
-        sys_.set_weight(a->var_, a->priority_);
-        if (a->remaining_ <= 0)
-          finish_action_local(shard, std::move(a), ActionState::kDone);
-      } else {
-        // The weight flip touches other shards' dirty sets (linked replicas)
-        // or the shared detached list: epilogue work.
-        ss.deferred.push_back(DeferredOp{DeferredOp::Kind::kLatencyExpiry, std::move(a)});
-      }
-    } else if ((home == ShardedMaxMin::kDetachedShard || home == shard) && lists_local) {
-      finish_action_local(shard, std::move(a), ActionState::kDone);
-    } else {
-      ss.deferred.push_back(DeferredOp{DeferredOp::Kind::kCompletion, std::move(a)});
-    }
+    const bool latency = a->in_latency_phase_;
+    // A latency expiry's weight flip touches other shards' dirty sets
+    // (linked replicas) or the shared detached list: only a variable homed
+    // here may flip in the lane. A completion merely releases its variable,
+    // which a detached one allows too.
+    if (!lists_local || (home != shard && (latency || home != ShardedMaxMin::kDetachedShard)))
+      ss.deferred.push_back(DeferredOp{
+          latency ? DeferredOp::Kind::kLatencyExpiry : DeferredOp::Kind::kCompletion, std::move(a)});
+    else if (latency)
+      expire_latency(lane, std::move(a));
+    else
+      finish_action(lane, std::move(a), ActionState::kDone);
   }
 }
 
-void Engine::apply_trace_event(int shard, const TraceEvent& ev) {
+void Engine::expire_latency(const Delivery& d, ActionPtr a) {
+  if (a->state_ != ActionState::kRunning)
+    return;  // failed meanwhile (a deferred failure is processed first)
+  // Latency just expired: start consuming bandwidth. The data phase gets its
+  // rate (and completion date) from the next sharing recomputation — unless
+  // there is no data to transfer at all.
+  sync_progress(*a);
+  a->in_latency_phase_ = false;
+  a->latency_remaining_ = 0;
+  if (a->var_ >= 0)
+    sys_.set_weight(a->var_, a->priority_);
+  if (a->remaining_ <= 0)
+    finish_action(d, std::move(a), ActionState::kDone);
+}
+
+void Engine::apply_trace_event(const Delivery& lane, const TraceEvent& ev) {
   switch (ev.kind) {
     case TraceEvent::Kind::kHostAvail: {
       hosts_[static_cast<size_t>(ev.index)].scale = ev.value;
@@ -1074,7 +1043,7 @@ void Engine::apply_trace_event(int shard, const TraceEvent& ev) {
       break;
     }
     case TraceEvent::Kind::kHostState: {
-      apply_host_state_sharded(shard, ev.index, ev.value > 0.5);
+      apply_host_state(lane, ev.index, ev.value > 0.5);
       schedule_next(platform_.host(ev.index).state, ev.kind, ev.index, ev.time);
       break;
     }
@@ -1086,7 +1055,7 @@ void Engine::apply_trace_event(int shard, const TraceEvent& ev) {
       break;
     }
     case TraceEvent::Kind::kLinkState: {
-      apply_link_state_sharded(shard, static_cast<platform::LinkId>(ev.index), ev.value > 0.5);
+      apply_link_state(lane, static_cast<platform::LinkId>(ev.index), ev.value > 0.5);
       schedule_next(platform_.link(static_cast<platform::LinkId>(ev.index)).state, ev.kind, ev.index, ev.time);
       break;
     }
@@ -1110,7 +1079,7 @@ void Engine::refresh_link_capacity(platform::LinkId link) {
                     res.on ? platform_.link(link).bandwidth_Bps * res.scale * bandwidth_factor_ : 0.0);
 }
 
-void Engine::fail_constraint_sharded(int shard, ShardedMaxMin::CnstId cnst) {
+void Engine::fail_constraint(const Delivery& d, ShardedMaxMin::CnstId cnst) {
   // The solver's element arena IS the cnst -> actions index: walk the
   // constraint's user list and map variables back to actions. Collect
   // before finishing — finishing releases the victim's variable, which
@@ -1119,7 +1088,7 @@ void Engine::fail_constraint_sharded(int shard, ShardedMaxMin::CnstId cnst) {
   // constraints are deduplicated by the finish idempotence guard: each
   // action emits exactly one failure event.
   //
-  // Reading a cross-shard victim's slot from here is race-free: an action
+  // Reading a cross-shard victim's slot from a lane is race-free: an action
   // whose variable spans shards is never finished inside a parallel phase
   // (every lane defers it), so its slot entry is stable for the whole phase.
   std::vector<ActionPtr> victims;
@@ -1129,25 +1098,31 @@ void Engine::fail_constraint_sharded(int shard, ShardedMaxMin::CnstId cnst) {
       victims.push_back(shards_[static_cast<size_t>(a->shard_)].running[a->run_idx_]);
   });
   for (ActionPtr& a : victims)
-    fail_one_sharded(shard, std::move(a));
+    fail_one(d, std::move(a));
 }
 
-void Engine::fail_one_sharded(int shard, ActionPtr action) {
-  const ShardedMaxMin::ShardId home =
-      action->var_ >= 0 ? sys_.home_shard(action->var_) : ShardedMaxMin::kDetachedShard;
-  const bool lists_local =
-      !action->in_endpoint_lists_ ||
-      (hosts_[static_cast<size_t>(action->host_)].shard == shard &&
-       hosts_[static_cast<size_t>(action->peer_host_)].shard == shard);
-  if (action->shard_ == shard && (home == ShardedMaxMin::kDetachedShard || home == shard) &&
-      lists_local)
-    finish_action_local(shard, std::move(action), ActionState::kFailed);
-  else
-    shards_[static_cast<size_t>(shard)].deferred.push_back(
-        DeferredOp{DeferredOp::Kind::kFailure, std::move(action)});
+void Engine::fail_one(const Delivery& d, ActionPtr action) {
+  if (d.shard >= 0) {
+    // Lane context: finish in place only when the victim's whole state
+    // (slot, variable, endpoint indexes) lives in the lane's shard.
+    const int shard = d.shard;
+    const ShardedMaxMin::ShardId home =
+        action->var_ >= 0 ? sys_.home_shard(action->var_) : ShardedMaxMin::kDetachedShard;
+    const bool lists_local =
+        !action->in_endpoint_lists_ ||
+        (hosts_[static_cast<size_t>(action->host_)].shard == shard &&
+         hosts_[static_cast<size_t>(action->peer_host_)].shard == shard);
+    if (action->shard_ != shard || (home != ShardedMaxMin::kDetachedShard && home != shard) ||
+        !lists_local) {
+      shards_[static_cast<size_t>(shard)].deferred.push_back(
+          DeferredOp{DeferredOp::Kind::kFailure, std::move(action)});
+      return;
+    }
+  }
+  finish_action(d, std::move(action), ActionState::kFailed);
 }
 
-void Engine::apply_host_state_sharded(int shard, int host, bool on) {
+void Engine::apply_host_state(const Delivery& d, int host, bool on) {
   HostRes& res = hosts_[static_cast<size_t>(host)];
   if (res.cnst < 0) {
     // Departed host: its trace chain keeps ticking (so a rejoin resumes in
@@ -1160,15 +1135,16 @@ void Engine::apply_host_state_sharded(int shard, int host, bool on) {
   res.on = on;
   refresh_host_capacity(host);
   if (!on) {
-    fail_constraint_sharded(shard, res.cnst);
+    fail_constraint(d, res.cnst);
     if (res.loopback >= 0)
-      fail_constraint_sharded(shard, res.loopback);
-    // Sleeps are always local: a sleep's action lives in its host's shard.
+      fail_constraint(d, res.loopback);
+    // Copy out of the indexes first: finishing swap-removes from them. A
+    // sleep always lives in its host's shard, so a lane never defers one.
     std::vector<ActionPtr> victims;
     for (Action* a : res.sleeps)
-      victims.push_back(shards_[static_cast<size_t>(shard)].running[a->run_idx_]);
+      victims.push_back(shards_[static_cast<size_t>(a->shard_)].running[a->run_idx_]);
     for (ActionPtr& a : victims)
-      finish_action_local(shard, std::move(a), ActionState::kFailed);
+      fail_one(d, std::move(a));
     if (kill_transit_comms_) {
       // Comms already killed through a dead constraint (loopback) are
       // skipped by the finish idempotence guard.
@@ -1176,15 +1152,18 @@ void Engine::apply_host_state_sharded(int shard, int host, bool on) {
       for (Action* a : res.comms)
         victims.push_back(shards_[static_cast<size_t>(a->shard_)].running[a->run_idx_]);
       for (ActionPtr& a : victims)
-        fail_one_sharded(shard, std::move(a));
+        fail_one(d, std::move(a));
     }
   }
-  if (resource_observer_)
-    shards_[static_cast<size_t>(shard)].notices.push_back(
-        Notice{nullptr, ActionState::kRunning, ActionState::kRunning, true, host, on});
+  if (!resource_observer_)
+    return;
+  if (d.notices != nullptr)
+    d.notices->push_back(Notice{nullptr, ActionState::kRunning, ActionState::kRunning, true, host, on});
+  else
+    resource_observer_(true, host, on);
 }
 
-void Engine::apply_link_state_sharded(int shard, platform::LinkId link, bool on) {
+void Engine::apply_link_state(const Delivery& d, platform::LinkId link, bool on) {
   LinkRes& res = links_[static_cast<size_t>(link)];
   if (res.cnst < 0) {  // private link of a departed host: silent (see above)
     res.on = on;
@@ -1195,55 +1174,13 @@ void Engine::apply_link_state_sharded(int shard, platform::LinkId link, bool on)
   res.on = on;
   refresh_link_capacity(link);
   if (!on)
-    fail_constraint_sharded(shard, res.cnst);
-  if (resource_observer_)
-    shards_[static_cast<size_t>(shard)].notices.push_back(
-        Notice{nullptr, ActionState::kRunning, ActionState::kRunning, false, link, on});
-}
-
-void Engine::finish_action_local(int shard, ActionPtr action, ActionState final_state) {
-  // Idempotence guard, as in finish_action: a failure may reach the same
-  // action through several constraints of this shard.
-  if (action->state_ != ActionState::kRunning && action->state_ != ActionState::kSuspended)
+    fail_constraint(d, res.cnst);
+  if (!resource_observer_)
     return;
-  ShardState& ss = shards_[static_cast<size_t>(shard)];
-  sync_progress(*action);  // credit progress made since the last rate change
-  const ActionState old_state = action->state_;
-  action->state_ = final_state;
-  action->finish_time_ = now_;
-  if (final_state == ActionState::kDone)
-    action->remaining_ = 0;
-  orphan_heap_entry(*action);  // orphan any entry still in the completion heap
-  if (action->var_ >= 0) {
-    action_of_var_[static_cast<size_t>(action->var_)] = nullptr;
-    // Release into this shard's arena only; the global id is recycled
-    // serially (commit_released, fixed shard order) so id reuse — and with
-    // it every downstream ordering — stays identical at any lane count.
-    sys_.release_variable_local(action->var_);
-    ss.released.push_back(action->var_);
-    action->var_ = -1;
-  }
-  if (action->kind_ == ActionKind::kSleep && action->host_ >= 0) {
-    // O(1) removal from the host's sleep index.
-    auto& sleeps = hosts_[static_cast<size_t>(action->host_)].sleeps;
-    const std::uint32_t si = action->host_list_idx_;
-    sleeps[si] = sleeps.back();
-    sleeps[si]->host_list_idx_ = si;
-    sleeps.pop_back();
-  } else if (action->in_endpoint_lists_) {
-    endpoint_list_remove(action->host_, action->host_list_idx_);
-    if (action->peer_host_ != action->host_)
-      endpoint_list_remove(action->peer_host_, action->peer_list_idx_);
-    action->in_endpoint_lists_ = false;
-  }
-  // O(1) removal: clear the slot and recycle it (LIFO keeps it cache-hot).
-  const size_t idx = action->run_idx_;
-  ss.running[idx].reset();
-  ss.free_slots.push_back(idx);
-  --ss.running_count;
-  if (observer_)
-    ss.notices.push_back(Notice{action, old_state, final_state, false, -1, false});
-  ss.fired.push_back(ActionEvent{std::move(action), final_state == ActionState::kFailed});
+  if (d.notices != nullptr)
+    d.notices->push_back(Notice{nullptr, ActionState::kRunning, ActionState::kRunning, false, link, on});
+  else
+    resource_observer_(false, link, on);
 }
 
 void Engine::process_deferred() {
@@ -1251,6 +1188,7 @@ void Engine::process_deferred() {
   // precede completions at the same date (a cross-shard action discovered
   // both completing and failing must fail) — then latency expiries and
   // completions; within each pass, fixed shard order then discovery order.
+  const Delivery serial{-1, &deferred_events_, &deferred_notices_};
   for (int pass = 0; pass < 2; ++pass) {
     for (const std::int32_t s : due_shards_) {
       ShardState& ss = shards_[static_cast<size_t>(s)];
@@ -1258,21 +1196,10 @@ void Engine::process_deferred() {
         const bool failure = op.kind == DeferredOp::Kind::kFailure;
         if (failure != (pass == 0) || !op.action)
           continue;
-        if (op.kind == DeferredOp::Kind::kLatencyExpiry) {
-          ActionPtr a = std::move(op.action);
-          if (a->state_ != ActionState::kRunning)
-            continue;  // failed meanwhile (pass 0)
-          sync_progress(*a);
-          a->in_latency_phase_ = false;
-          a->latency_remaining_ = 0;
-          if (a->var_ >= 0)
-            sys_.set_weight(a->var_, a->priority_);
-          if (a->remaining_ <= 0)
-            finish_action(std::move(a), ActionState::kDone, &deferred_events_, &deferred_notices_);
-        } else {
-          finish_action(std::move(op.action), failure ? ActionState::kFailed : ActionState::kDone,
-                        &deferred_events_, &deferred_notices_);
-        }
+        if (op.kind == DeferredOp::Kind::kLatencyExpiry)
+          expire_latency(serial, std::move(op.action));
+        else
+          finish_action(serial, std::move(op.action), failure ? ActionState::kFailed : ActionState::kDone);
       }
     }
   }
@@ -1293,7 +1220,7 @@ void Engine::gather_step_results() {
   }
   // Publish the per-shard event logs shard-major as a zero-copy sequence of
   // segments (the epilogue's last); the buffers stay put until the next
-  // run_until()/step(). Empty segments are skipped up front, so a shard
+  // run_until(). Empty segments are skipped up front, so a shard
   // that advanced without firing — or a zero-event round — never reaches
   // the published view.
   for (const std::int32_t s : due_shards_) {
@@ -1360,8 +1287,7 @@ void Engine::endpoint_list_remove(int host, std::uint32_t idx) {
 
 // Takes the ActionPtr by value: callers may pass a reference into a slot
 // table, which the slot reset below would otherwise invalidate mid-function.
-void Engine::finish_action(ActionPtr action, ActionState final_state, std::vector<ActionEvent>* out,
-                           std::vector<Notice>* out_notices) {
+void Engine::finish_action(const Delivery& d, ActionPtr action, ActionState final_state) {
   // Idempotence guard: an observer notified below may re-enter and finish
   // (e.g. cancel) an action that a caller already collected as a victim —
   // and a failure may reach the same action through several constraints.
@@ -1377,7 +1303,16 @@ void Engine::finish_action(ActionPtr action, ActionState final_state, std::vecto
   orphan_heap_entry(*action);  // orphan any entry still in the completion heap
   if (action->var_ >= 0) {
     action_of_var_[static_cast<size_t>(action->var_)] = nullptr;
-    sys_.release_variable(action->var_);
+    if (d.shard >= 0) {
+      // Lane context: release into this shard's arena only; the global id
+      // is recycled serially (commit_released, fixed shard order) so id
+      // reuse — and with it every downstream ordering — stays identical at
+      // any lane count.
+      sys_.release_variable_local(action->var_);
+      shards_[static_cast<size_t>(d.shard)].released.push_back(action->var_);
+    } else {
+      sys_.release_variable(action->var_);
+    }
     action->var_ = -1;
   }
   if (action->kind_ == ActionKind::kSleep && action->host_ >= 0) {
@@ -1399,14 +1334,11 @@ void Engine::finish_action(ActionPtr action, ActionState final_state, std::vecto
   ss.running[idx].reset();
   ss.free_slots.push_back(idx);
   --ss.running_count;
-  if (out_notices != nullptr)
-    out_notices->push_back(Notice{action, old_state, final_state, false, -1, false});
-  else
+  if (d.notices == nullptr)
     notify(*action, old_state, final_state);
-  if (out != nullptr)
-    out->push_back(ActionEvent{action, final_state == ActionState::kFailed});
-  else
-    pending_.push_back(ActionEvent{action, final_state == ActionState::kFailed});
+  else if (observer_)
+    d.notices->push_back(Notice{action, old_state, final_state, false, -1, false});
+  d.events->push_back(ActionEvent{std::move(action), final_state == ActionState::kFailed});
 }
 
 void Engine::notify(const Action& action, ActionState old_state, ActionState new_state) {
@@ -1434,83 +1366,11 @@ double Engine::link_load(platform::LinkId link) {
   return sys_.usage(links_.at(static_cast<size_t>(link)).cnst);
 }
 
-void Engine::fail_actions_on_constraint(ShardedMaxMin::CnstId cnst, std::vector<ActionEvent>& out) {
-  // Same collect-then-finish shape as fail_constraint_sharded, but each
-  // victim goes through finish_action with an inline notify — observers see
-  // every failure as it happens and may cancel pending victims (deduplicated
-  // by the idempotence guard).
-  std::vector<ActionPtr> victims;
-  sys_.for_each_variable_on(cnst, [&](ShardedMaxMin::VarId v, double) {
-    Action* a = action_of_var_[static_cast<size_t>(v)];
-    if (a != nullptr && (victims.empty() || victims.back().get() != a))
-      victims.push_back(shards_[static_cast<size_t>(a->shard_)].running[a->run_idx_]);
-  });
-  for (const ActionPtr& a : victims)
-    finish_action(a, ActionState::kFailed, &out);
-}
-
-void Engine::fail_sleeps_on_host(int host, std::vector<ActionEvent>& out) {
-  // Copy out of the index first: finish_action swap-removes from it.
-  std::vector<ActionPtr> victims;
-  for (Action* a : hosts_[static_cast<size_t>(host)].sleeps)
-    victims.push_back(shards_[static_cast<size_t>(a->shard_)].running[a->run_idx_]);
-  for (const ActionPtr& a : victims)
-    finish_action(a, ActionState::kFailed, &out);
-}
-
-void Engine::fail_endpoint_comms(int host, std::vector<ActionEvent>& out) {
-  // Comms already killed through a dead constraint (loopback) are skipped by
-  // finish_action's idempotence.
-  std::vector<ActionPtr> victims;
-  for (Action* a : hosts_[static_cast<size_t>(host)].comms)
-    victims.push_back(shards_[static_cast<size_t>(a->shard_)].running[a->run_idx_]);
-  for (const ActionPtr& a : victims)
-    finish_action(a, ActionState::kFailed, &out);
-}
-
-void Engine::apply_host_state(int host, bool on, std::vector<ActionEvent>& out) {
-  HostRes& res = hosts_[static_cast<size_t>(host)];
-  if (res.cnst < 0) {  // departed: flaps are recorded but inert (see sharded twin)
-    res.on = on;
-    return;
-  }
-  if (res.on == on)
-    return;
-  res.on = on;
-  refresh_host_capacity(host);
-  if (!on) {
-    fail_actions_on_constraint(res.cnst, out);
-    if (res.loopback >= 0)
-      fail_actions_on_constraint(res.loopback, out);
-    fail_sleeps_on_host(host, out);
-    if (kill_transit_comms_)
-      fail_endpoint_comms(host, out);
-  }
-  if (resource_observer_)
-    resource_observer_(true, host, on);
-}
-
-void Engine::apply_link_state(platform::LinkId link, bool on, std::vector<ActionEvent>& out) {
-  LinkRes& res = links_[static_cast<size_t>(link)];
-  if (res.cnst < 0) {  // private link of a departed host: inert
-    res.on = on;
-    return;
-  }
-  if (res.on == on)
-    return;
-  res.on = on;
-  refresh_link_capacity(link);
-  if (!on)
-    fail_actions_on_constraint(res.cnst, out);
-  if (resource_observer_)
-    resource_observer_(false, link, on);
-}
-
 void Engine::set_host_state(int host, bool on) {
   hosts_.at(static_cast<size_t>(host));  // range check with the usual exception
   platform_.check_host_present(host, "set_host_state");  // "departed at t=…"
   std::vector<ActionEvent> out;
-  apply_host_state(host, on, out);
+  apply_host_state(Delivery{-1, &out, nullptr}, host, on);
   for (auto& ev : out)
     pending_.push_back(std::move(ev));
 }
@@ -1518,7 +1378,7 @@ void Engine::set_host_state(int host, bool on) {
 void Engine::set_link_state(platform::LinkId link, bool on) {
   links_.at(static_cast<size_t>(link));  // range check with the usual exception
   std::vector<ActionEvent> out;
-  apply_link_state(link, on, out);
+  apply_link_state(Delivery{-1, &out, nullptr}, link, on);
   for (auto& ev : out)
     pending_.push_back(std::move(ev));
 }
@@ -1601,9 +1461,10 @@ void Engine::leave_host(int host) {
   // dedups victims reached through several dead constraints), observers
   // firing inline as ever for explicit state changes.
   std::vector<ActionEvent> out;
-  apply_host_state(host, false, out);
+  const Delivery serial{-1, &out, nullptr};
+  apply_host_state(serial, host, false);
   for (platform::LinkId l : private_links)
-    apply_link_state(l, false, out);
+    apply_link_state(serial, l, false);
 
   // Release the constraints through the solver's id-recycling paths: the
   // fail sweeps above emptied them, and a released id is reused by the next

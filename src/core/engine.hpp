@@ -41,6 +41,22 @@
 /// hosts (CM02 semantics); setting engine/kill-transit-comms makes a host's
 /// death also fail every comm it is an endpoint of (L07-style), delivered
 /// through a per-host endpoint index, still O(affected).
+///
+/// Every finish and failure — trace-driven or explicit — goes through one
+/// path (apply_*_state -> fail_constraint -> fail_one -> finish_action),
+/// told by a Delivery where it runs. In the lane context (a trace event or
+/// heap pop inside advance_shard) ids are released shard-locally, events
+/// and observer notices land in the shard's gather buffers, and a victim
+/// whose state reaches beyond the shard is deferred to the serial epilogue.
+/// In the serial context (set_*_state, leave_host, cancel, the epilogue)
+/// every victim finishes at once in discovery order. The explicit setters
+/// fire observers inline, per victim, before the resource notice: an
+/// observer may react to one failure by cancelling a not-yet-finished
+/// sibling, and the idempotence guard in finish_action turns the sweep's
+/// later visit into a no-op (the re-entrancy contract pinned by
+/// ReentrantObserverCancelDoesNotDoubleFinish). Such a cancel is delivered
+/// ahead of the sweep's failures, which are collected locally and queued
+/// only once the sweep is over.
 #pragma once
 
 #include <cstdint>
@@ -50,6 +66,7 @@
 #include <queue>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/action.hpp"
@@ -86,8 +103,7 @@ struct ActionEvent {
 /// non-empty segments, each a span straight into a shard's fired buffer
 /// (fixed shard order, the serial epilogue's events last) — nothing is
 /// copied into a merge sink. Iterates like a flat forward range of
-/// ActionEvent; valid until the next run_until()/step() call, exactly like
-/// the span it replaces.
+/// ActionEvent; valid until the next run_until() call.
 class StepLog {
 public:
   class const_iterator {
@@ -164,56 +180,48 @@ public:
   const platform::Platform& platform() const { return platform_; }
 
   // -- starting activities ---------------------------------------------------
-  // Each creator comes in two overloads: the name-less one keeps the default
-  // display name ("exec", "comm", ...) without even constructing a
-  // std::string — creation is the hot path of churn workloads — while the
-  // named one stores the custom name in the shared side table (see
-  // ActionBlockPool).
+  // Every creator takes an optional display name. An empty name keeps the
+  // kind's default ("exec", "comm", ...) without constructing a std::string
+  // — creation is the hot path of churn workloads — while a custom one is
+  // stored in the shared side table (see ActionBlockPool). The name is set
+  // before the creation notice (Running -> Running), so observers see it.
 
   /// Computation of `flops` on a host. Throws HostFailureException if the
   /// host is currently down.
-  ActionPtr exec_start(int host, double flops, double priority = 1.0);
-  ActionPtr exec_start(int host, double flops, double priority, const std::string& name);
+  ActionPtr exec_start(int host, double flops, double priority = 1.0, std::string_view name = {});
 
   /// Point-to-point transfer of `bytes` from src to dst along the platform
   /// route. rate_limit (> 0) additionally caps the transfer rate (sender
   /// throttling). The TCP window cap gamma/(2*latency) applies automatically.
-  ActionPtr comm_start(int src_host, int dst_host, double bytes, double rate_limit = -1.0);
-  ActionPtr comm_start(int src_host, int dst_host, double bytes, double rate_limit,
-                       const std::string& name);
+  ActionPtr comm_start(int src_host, int dst_host, double bytes, double rate_limit = -1.0,
+                       std::string_view name = {});
 
   /// Parallel task (paper: "Parallel tasks" under resource sharing): a single
   /// activity consuming several CPUs and the links between them. The action
   /// completes when the common progress fraction reaches 1.
   /// flops[i] is the work of hosts[i]; bytes[i][j] the data sent i -> j.
   ActionPtr ptask_start(const std::vector<int>& hosts, const std::vector<double>& flops,
-                        const std::vector<std::vector<double>>& bytes);
-  ActionPtr ptask_start(const std::vector<int>& hosts, const std::vector<double>& flops,
-                        const std::vector<std::vector<double>>& bytes, const std::string& name);
+                        const std::vector<std::vector<double>>& bytes, std::string_view name = {});
 
   /// Pure delay on a host (fails if the host dies while sleeping).
-  ActionPtr sleep_start(int host, double duration);
-  ActionPtr sleep_start(int host, double duration, const std::string& name);
+  ActionPtr sleep_start(int host, double duration, std::string_view name = {});
 
   // -- time advance -----------------------------------------------------------
   /// Advance simulated time to the next event date, but no further than
   /// `deadline`, and return the completion/failure events that fired — in
   /// deterministic order (fixed shard order, stable intra-shard order; see
   /// the threading-model notes above). The returned view stays valid until
-  /// the next run_until()/step() call. If nothing happens before `deadline`,
-  /// time jumps there and the view is empty; if deadline is +inf and nothing
-  /// is pending, time does not move. This is THE run-loop entry point;
-  /// step() and next_event_time() below are compatibility wrappers around it.
+  /// the next run_until() call; copy it out to keep events longer. If
+  /// nothing happens before `deadline`, time jumps there and the view is
+  /// empty; if deadline is +inf and nothing is pending, time does not move.
+  /// This is THE run-loop entry point.
   StepLog run_until(double deadline = std::numeric_limits<double>::infinity());
 
-  /// Deprecated wrapper: run_until() copied into a fresh vector. Prefer
-  /// run_until(), which does not allocate per call.
-  std::vector<ActionEvent> step(double bound = std::numeric_limits<double>::infinity());
-
   /// Date of the next engine event (action completion / trace event), or
-  /// +inf when nothing is pending; recomputes sharing first. Deprecated as a
-  /// polling loop (run_until() subsumes it); still the introspection probe
-  /// for "will anything ever happen" (the kernel's deadlock detector).
+  /// +inf when nothing is pending; recomputes sharing first. This is the
+  /// probe for "will anything ever happen" (the kernel's deadlock detector):
+  /// an empty run_until() log cannot answer it, because a round that only
+  /// applies availability traces is empty too.
   double next_event_time();
 
   // -- resource state ----------------------------------------------------------
@@ -471,26 +479,39 @@ private:
   /// trace tops), clamped to >= now().
   double next_trace_time();
 
+  /// Where a finish or failure is delivered (see the file comment).
+  struct Delivery {
+    /// Lane context: the shard whose lane runs the delivery — ids go to its
+    /// `released` list, foreign victims to its `deferred` list. -1: serial
+    /// context (ids released at once, nothing deferred).
+    std::int32_t shard;
+    std::vector<ActionEvent>* events;  ///< where finished actions are logged
+    std::vector<Notice>* notices;      ///< recorded observer calls; null: inline
+  };
+
   /// Phase body for one shard: apply due trace events (FIRST — the
   /// tie-break), then pop due heap entries; finish what is shard-local,
   /// defer the rest.
   void advance_shard(int shard, double target, double eps);
   /// Apply a trace event inside its shard's lane.
-  void apply_trace_event(int shard, const TraceEvent& ev);
-  /// Up/down transition, running in the resource's shard's lane: adjust
-  /// capacity and, on death, deliver failures through the index. Victims
-  /// whose state is shard-local are finished in place; others are deferred.
-  void apply_host_state_sharded(int shard, int host, bool on);
-  void apply_link_state_sharded(int shard, platform::LinkId link, bool on);
-  /// Fail every action with a live solver variable on `cnst` (which lives in
-  /// `shard`). O(degree): victims come from the solver's element arena.
-  void fail_constraint_sharded(int shard, ShardedMaxMin::CnstId cnst);
-  /// Finish one failure victim: in place when shard-local, deferred else.
-  void fail_one_sharded(int shard, ActionPtr action);
-  /// Finish an action whose entire state (slot, heaps, var, lists) lives in
-  /// `shard` — safe inside that shard's lane. Events/notices/released ids go
-  /// to the shard's gather buffers; the global id is committed serially.
-  void finish_action_local(int shard, ActionPtr action, ActionState final_state);
+  void apply_trace_event(const Delivery& lane, const TraceEvent& ev);
+  /// Up/down transition: adjust capacity and, on death, fail every victim
+  /// found through the indexes (solver arena, sleep and endpoint lists),
+  /// then notify the resource observer.
+  void apply_host_state(const Delivery& d, int host, bool on);
+  void apply_link_state(const Delivery& d, platform::LinkId link, bool on);
+  /// Fail every action with a live solver variable on `cnst`. O(degree):
+  /// victims come from the solver's element arena.
+  void fail_constraint(const Delivery& d, ShardedMaxMin::CnstId cnst);
+  /// Fail one victim: at once, unless a lane does not own its whole state
+  /// (slot, variable, endpoint lists) — then it is deferred.
+  void fail_one(const Delivery& d, ActionPtr action);
+  /// Finish an action: release its variable, slot and index entries, then
+  /// log the event and notify (inline or recorded, per `d`). Idempotent.
+  void finish_action(const Delivery& d, ActionPtr action, ActionState final_state);
+  /// A comm/ptask's latency phase is over: switch it to its data phase, and
+  /// finish it when there is no data left (the caller owns its variable).
+  void expire_latency(const Delivery& d, ActionPtr action);
   /// Serial: process the deferred cross-shard ops in fixed order (only the
   /// shards advanced this round can hold any).
   void process_deferred();
@@ -515,21 +536,6 @@ private:
   void adopt_new_resources();
   void refresh_host_capacity(int host);
   void refresh_link_capacity(platform::LinkId link);
-  /// Serial-context (set_host_state / set_link_state) twins of the sharded
-  /// appliers above: same failure delivery, but observers fire inline as
-  /// each victim finishes — an observer may react to one failure by
-  /// cancelling a not-yet-finished sibling (the reentrancy contract the
-  /// explicit setters have always had).
-  void apply_host_state(int host, bool on, std::vector<ActionEvent>& out);
-  void apply_link_state(platform::LinkId link, bool on, std::vector<ActionEvent>& out);
-  void fail_actions_on_constraint(ShardedMaxMin::CnstId cnst, std::vector<ActionEvent>& out);
-  void fail_sleeps_on_host(int host, std::vector<ActionEvent>& out);
-  void fail_endpoint_comms(int host, std::vector<ActionEvent>& out);
-  /// Serial-context finish (cancel, deferred ops): handles cross-shard
-  /// variables. With `out_notices` the state-transition notification is
-  /// recorded there instead of firing inline.
-  void finish_action(ActionPtr action, ActionState final_state, std::vector<ActionEvent>* out,
-                     std::vector<Notice>* out_notices = nullptr);
   /// Register / swap-remove a comm in its endpoints' comm indexes.
   void endpoint_lists_add(const ActionPtr& action);
   void endpoint_list_remove(int host, std::uint32_t idx);
@@ -542,13 +548,9 @@ private:
   /// (the action's shard_ must already be set).
   void add_running(const ActionPtr& action);
   /// Store a custom display name in the action's shard's side table (no-op
-  /// when `name` is the kind's default — the common case pays nothing).
-  void set_action_name(Action* action, const std::string& name);
-  /// Shared bodies of the creator overloads; a non-null name is applied
-  /// before the creation notify() so observers already see it.
-  ActionPtr exec_start_impl(int host, double flops, double priority, const std::string* name);
-  ActionPtr comm_start_impl(int src_host, int dst_host, double bytes, double rate_limit,
-                            const std::string* name);
+  /// when `name` is empty or the kind's default — the common case pays
+  /// nothing).
+  void set_action_name(Action* action, std::string_view name);
   /// Re-solve sharing (incrementally — only components touched by a mutation
   /// are recomputed; uncoupled shards AND independent coupled groups fan out
   /// over the worker lanes), refresh the rates of the actions whose

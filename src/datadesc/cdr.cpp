@@ -115,7 +115,7 @@ private:
       }
       case DataDesc::Kind::kString: {
         r.align(4);
-        const auto len = static_cast<size_t>(r.get_bits(4, be));
+        const size_t len = r.get_count(be, "cdr: string length");
         if (len == 0)
           throw xbt::InvalidArgument("cdr: zero-length string (missing NUL)");
         std::string s(len - 1, '\0');
@@ -139,7 +139,7 @@ private:
       }
       case DataDesc::Kind::kDynArray: {
         r.align(4);
-        const auto n = static_cast<size_t>(r.get_bits(4, be));
+        const size_t n = r.get_count(be, "cdr: sequence length");
         ValueList out;
         out.reserve(n);
         for (size_t i = 0; i < n; ++i)

@@ -173,7 +173,7 @@ private:
       }
       case DataDesc::Kind::kString: {
         r.align(4);
-        const auto len = static_cast<size_t>(r.get_bits(4, sender.big_endian));
+        const size_t len = r.get_count(sender.big_endian, "pbio: string length");
         std::string s(len, '\0');
         r.get_bytes(s.data(), len);
         return Value(std::move(s));
@@ -194,7 +194,7 @@ private:
       }
       case DataDesc::Kind::kDynArray: {
         r.align(4);
-        const auto n = static_cast<size_t>(r.get_bits(4, sender.big_endian));
+        const size_t n = r.get_count(sender.big_endian, "pbio: array length");
         ValueList out;
         out.reserve(n);
         for (size_t i = 0; i < n; ++i)

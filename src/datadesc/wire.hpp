@@ -93,6 +93,17 @@ public:
     return bits;
   }
 
+  /// Read a peer-supplied 32-bit element or byte count. Elements that carry
+  /// data take at least one byte on the wire, so a count above the bytes
+  /// left is corrupt: reject it before anything is sized from it.
+  size_t get_count(bool big_endian, const char* what) {
+    const auto n = static_cast<size_t>(get_bits(4, big_endian));
+    if (n > remaining())
+      throw xbt::InvalidArgument(std::string(what) + ": count " + std::to_string(n) +
+                                 " exceeds the " + std::to_string(remaining()) + " bytes left");
+    return n;
+  }
+
 private:
   void need(size_t n) const {
     if (pos_ + n > buf_.size())

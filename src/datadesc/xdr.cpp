@@ -102,7 +102,7 @@ private:
         return Value(bits);
       }
       case DataDesc::Kind::kString: {
-        const auto len = static_cast<size_t>(r.get_bits(4, true));
+        const size_t len = r.get_count(true, "xdr: string length");
         std::string s(len, '\0');
         r.get_bytes(s.data(), len);
         r.align(4);
@@ -123,7 +123,7 @@ private:
         return Value(std::move(out));
       }
       case DataDesc::Kind::kDynArray: {
-        const auto n = static_cast<size_t>(r.get_bits(4, true));
+        const size_t n = r.get_count(true, "xdr: array length");
         ValueList out;
         out.reserve(n);
         for (size_t i = 0; i < n; ++i)

@@ -60,11 +60,6 @@ bool read_all(int fd, void* data, size_t n, bool eof_ok) {
   return true;
 }
 
-struct Frame {
-  std::string type;
-  std::vector<std::uint8_t> wire;
-};
-
 void send_frame(int fd, const std::string& type, const std::vector<std::uint8_t>& wire) {
   std::vector<std::uint8_t> header;
   header.reserve(10 + type.size());
@@ -84,7 +79,9 @@ void send_frame(int fd, const std::string& type, const std::vector<std::uint8_t>
     write_all(fd, wire.data(), wire.size());
 }
 
-bool recv_frame(int fd, Frame& out) {
+}  // namespace
+
+bool detail::recv_frame(int fd, Frame& out) {
   std::uint8_t hdr[6];
   if (!read_all(fd, hdr, 6, /*eof_ok=*/true))
     return false;
@@ -99,11 +96,17 @@ bool recv_frame(int fd, Frame& out) {
   read_all(fd, len4, 4, false);
   const std::uint32_t payload_len =
       (std::uint32_t(len4[0]) << 24) | (std::uint32_t(len4[1]) << 16) | (std::uint32_t(len4[2]) << 8) | len4[3];
+  if (payload_len > kMaxFramePayload)
+    throw xbt::NetworkFailureException("frame payload of " + std::to_string(payload_len) +
+                                       " bytes exceeds the " + std::to_string(kMaxFramePayload) +
+                                       "-byte cap");
   out.wire.resize(payload_len);
   if (payload_len > 0)
     read_all(fd, out.wire.data(), payload_len, false);
   return true;
 }
+
+namespace {
 
 class RealRuntime;
 
@@ -302,8 +305,8 @@ private:
 
   void reader_loop(std::shared_ptr<RealSocket> sock) {
     try {
-      Frame frame;
-      while (sock->fd() >= 0 && recv_frame(sock->fd(), frame)) {
+      detail::Frame frame;
+      while (sock->fd() >= 0 && detail::recv_frame(sock->fd(), frame)) {
         Message m;
         m.type = frame.type;
         if (!msgtype_known(frame.type)) {

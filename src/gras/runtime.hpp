@@ -7,10 +7,12 @@
 /// in real-life mode (one OS thread per process).
 #pragma once
 
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "gras/gras.hpp"
 
@@ -65,5 +67,20 @@ private:
 
 /// Encoded-message framing overhead added to the simulated/real wire size.
 constexpr size_t kHeaderOverhead = 16;
+
+/// Largest payload a real-mode frame may announce. The length comes from the
+/// peer, so a larger one is refused before any buffer is sized from it.
+constexpr std::uint32_t kMaxFramePayload = 64u << 20;
+
+/// One real-mode wire frame: message type name and encoded payload.
+struct Frame {
+  std::string type;
+  std::vector<std::uint8_t> wire;
+};
+
+/// Read one frame from a connected socket (format in real.cpp). Returns
+/// false on orderly EOF at a frame boundary; throws NetworkFailureException
+/// on a bad magic, a short read, or a payload above kMaxFramePayload.
+bool recv_frame(int fd, Frame& out);
 
 }  // namespace sg::gras::detail

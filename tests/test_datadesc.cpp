@@ -4,8 +4,11 @@
 /// receiver).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "datadesc/codec.hpp"
 #include "datadesc/pastry.hpp"
@@ -282,6 +285,50 @@ TEST(Codecs, TruncatedBuffersRejected) {
         << codec->name();
   }
 }
+
+/// Overwrite the 32-bit count that directly precedes `marker` in `wire` with
+/// 0xFFFFFFFF: a 4 Gi element claim in a buffer of a few dozen bytes.
+void corrupt_count_before(std::vector<std::uint8_t>& wire, std::vector<std::uint8_t> marker) {
+  auto it = std::search(wire.begin(), wire.end(), marker.begin(), marker.end());
+  if (it == wire.end()) {  // the other byte order
+    std::reverse(marker.begin(), marker.end());
+    it = std::search(wire.begin(), wire.end(), marker.begin(), marker.end());
+  }
+  ASSERT_NE(it, wire.end());
+  ASSERT_GE(it - wire.begin(), 4);
+  std::fill(it - 4, it, std::uint8_t{0xFF});
+}
+
+void expect_count_rejected(const Codec& codec, const DataDesc& desc,
+                           const std::vector<std::uint8_t>& wire) {
+  try {
+    codec.decode(desc, wire, arch_by_name("x86"));
+    ADD_FAILURE() << codec.name() << ": corrupted count accepted";
+  } catch (const sg::xbt::InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("exceeds"), std::string::npos)
+        << codec.name() << ": not rejected by the count check: " << e.what();
+  }
+}
+
+/// A peer-supplied string or array count larger than the bytes left must be
+/// refused before anything is allocated from it.
+void expect_corrupted_counts_rejected(const Codec& codec) {
+  const auto& arch = arch_by_name("x86");
+  auto sdesc = DataDesc::string("s");
+  auto wire = codec.encode(*sdesc, Value(std::string("MARKER")), arch);
+  corrupt_count_before(wire, {'M', 'A', 'R', 'K'});
+  expect_count_rejected(codec, *sdesc, wire);
+
+  auto adesc = DataDesc::dyn_array(datadesc_by_name("int"), "d");
+  wire = codec.encode(*adesc, Value(ValueList{Value(0x5A5B5C5D), Value(1)}), arch);
+  corrupt_count_before(wire, {0x5D, 0x5C, 0x5B, 0x5A});
+  expect_count_rejected(codec, *adesc, wire);
+}
+
+TEST(Ndr, CorruptedCountsRejected) { expect_corrupted_counts_rejected(ndr_codec()); }
+TEST(Xdr, CorruptedCountsRejected) { expect_corrupted_counts_rejected(xdr_codec()); }
+TEST(Cdr, CorruptedCountsRejected) { expect_corrupted_counts_rejected(cdr_codec()); }
+TEST(Pbio, CorruptedCountsRejected) { expect_corrupted_counts_rejected(pbio_codec()); }
 
 TEST(Codecs, SpecialFloats) {
   auto desc = datadesc_by_name("double");

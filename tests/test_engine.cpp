@@ -37,7 +37,7 @@ protected:
     for (int guard = 0; guard < 100000; ++guard) {
       if (a->state() != ActionState::kRunning && a->state() != ActionState::kSuspended)
         return a->finish_time();
-      e.step();
+      e.run_until();
     }
     ADD_FAILURE() << "action never completed";
     return -1;
@@ -85,7 +85,7 @@ TEST_F(EngineTest, ExecStaggeredStarts) {
   Engine e(std::move(p));
   auto a = e.exec_start(0, 2e9);
   // Advance time to 1.0, then start a competitor.
-  e.step(1.0);
+  e.run_until(1.0);
   EXPECT_DOUBLE_EQ(e.now(), 1.0);
   auto b = e.exec_start(0, 1e9);
   run_until_done(e, a);
@@ -201,10 +201,10 @@ TEST_F(EngineTest, SuspendResumeFreezesProgress) {
   p.add_host("h", 1e9);
   Engine e(std::move(p));
   auto a = e.exec_start(0, 2e9);
-  e.step(1.0);
+  e.run_until(1.0);
   a->suspend();
   EXPECT_EQ(a->state(), ActionState::kSuspended);
-  e.step(5.0);  // nothing progresses
+  e.run_until(5.0);  // nothing progresses
   EXPECT_DOUBLE_EQ(e.now(), 5.0);
   EXPECT_NEAR(a->remaining(), 1e9, 1.0);
   a->resume();
@@ -216,10 +216,10 @@ TEST_F(EngineTest, CancelAction) {
   p.add_host("h", 1e9);
   Engine e(std::move(p));
   auto a = e.exec_start(0, 2e9);
-  e.step(0.5);
+  e.run_until(0.5);
   a->cancel();
   EXPECT_EQ(a->state(), ActionState::kCanceled);
-  auto events = e.step();
+  auto events = e.run_until();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].action.get(), a.get());
 }
@@ -249,7 +249,7 @@ TEST_F(EngineTest, StateTraceFailsRunningExec) {
   auto a = e.exec_start(0, 1e12);
   bool failed = false;
   for (int i = 0; i < 1000 && !failed; ++i) {
-    for (const auto& ev : e.step())
+    for (const auto& ev : e.run_until())
       if (ev.action.get() == a.get() && ev.failed)
         failed = true;
   }
@@ -275,7 +275,7 @@ TEST_F(EngineTest, LinkFailureKillsComm) {
   auto c = e.comm_start(0, 1, 1e9);
   bool failed = false;
   for (int i = 0; i < 1000 && !failed; ++i)
-    for (const auto& ev : e.step())
+    for (const auto& ev : e.run_until())
       if (ev.action.get() == c.get() && ev.failed)
         failed = true;
   EXPECT_TRUE(failed);
@@ -292,7 +292,7 @@ TEST_F(EngineTest, CommOnDeadRouteFailsImmediately) {
   e.set_link_state(0, false);
   auto c = e.comm_start(0, 1, 100.0);
   EXPECT_EQ(c->state(), ActionState::kFailed);
-  auto events = e.step();
+  auto events = e.run_until();
   bool found = false;
   for (const auto& ev : events)
     if (ev.action.get() == c.get() && ev.failed)
@@ -306,7 +306,7 @@ TEST_F(EngineTest, HostRecoversAfterFailure) {
   p.add_host("h", 1e9);
   Engine e(std::move(p));
   e.set_host_state(0, false);
-  e.step();  // drain events
+  e.run_until();  // drain events
   EXPECT_FALSE(e.host_is_on(0));
   e.set_host_state(0, true);
   EXPECT_TRUE(e.host_is_on(0));
@@ -358,7 +358,7 @@ TEST_F(EngineTest, StepBoundStopsEarly) {
   p.add_host("h", 1e9);
   Engine e(std::move(p));
   auto a = e.exec_start(0, 1e10);
-  auto events = e.step(3.0);
+  auto events = e.run_until(3.0);
   EXPECT_TRUE(events.empty());
   EXPECT_DOUBLE_EQ(e.now(), 3.0);
   EXPECT_NEAR(a->remaining(), 7e9, 1.0);
@@ -369,7 +369,7 @@ TEST_F(EngineTest, NextEventTimeEmptyEngine) {
   p.add_host("h", 1e9);
   Engine e(std::move(p));
   EXPECT_TRUE(std::isinf(e.next_event_time()));
-  auto events = e.step();
+  auto events = e.run_until();
   EXPECT_TRUE(events.empty());
   EXPECT_DOUBLE_EQ(e.now(), 0.0);
 }
@@ -385,8 +385,8 @@ TEST_F(EngineTest, LoadIntrospection) {
 }
 
 // ---------------------------------------------------------------------------
-// Completion-heap equivalence sweep: the heap-driven step() must order and
-// date completions exactly like the old exhaustive scan. The reference is an
+// Completion-heap equivalence sweep: the heap-driven run_until() must order
+// and date completions exactly like the old exhaustive scan. The reference is an
 // independent fluid simulation of weighted max-min sharing on one link
 // (rate_i = C * w_i / sum of active weights), driven through the same random
 // schedule of starts, suspends, resumes, and priority changes — every such
@@ -487,7 +487,7 @@ TEST_F(EngineTest, HeapMatchesScanUnderRateChurn) {
   std::vector<ActionPtr> actions;
   std::vector<double> engine_finish;  // filled as completions fire
 
-  auto drain = [&](const std::vector<ActionEvent>& events) {
+  auto drain = [&](const StepLog& events) {
     for (const auto& ev : events) {
       EXPECT_EQ(ev.action->state(), ActionState::kDone);
       EXPECT_FALSE(ev.failed);
@@ -500,9 +500,9 @@ TEST_F(EngineTest, HeapMatchesScanUnderRateChurn) {
   for (int op = 0; op < 30; ++op) {
     t += rng.uniform(0.05, 0.6);
     // Run both models to date t.
-    while (e.next_event_time() < t)
-      drain(e.step(t));
-    drain(e.step(t));  // advance the clock the rest of the way
+    do
+      drain(e.run_until(t));
+    while (e.now() < t);
     ASSERT_DOUBLE_EQ(e.now(), t);
     ref.run_until(t);
 
@@ -541,11 +541,8 @@ TEST_F(EngineTest, HeapMatchesScanUnderRateChurn) {
       actions[i]->resume();
       ref.resume(static_cast<int>(i));
     }
-  for (int guard = 0; guard < 100000; ++guard) {
-    if (std::isinf(e.next_event_time()))
-      break;
-    drain(e.step());
-  }
+  for (int guard = 0; guard < 100000 && e.running_action_count() > 0; ++guard)
+    drain(e.run_until());
   ref.run_until(1e9);
 
   // Every flow completed, at the reference date. The completion *ordering*
@@ -575,7 +572,7 @@ TEST_F(EngineTest, HeapCompletionsAreChronological) {
   double last = 0;
   size_t fired = 0;
   for (int guard = 0; guard < 100000 && fired < actions.size(); ++guard) {
-    for (const auto& ev : e.step()) {
+    for (const auto& ev : e.run_until()) {
       EXPECT_GE(e.now(), last);
       last = e.now();
       EXPECT_DOUBLE_EQ(ev.action->finish_time(), e.now());
@@ -620,7 +617,8 @@ TEST_F(EngineTest, CanceledActionsAreNotPinnedByStaleHeapEntries) {
       ghosts.push_back(s);
     }
   }
-  e.step();  // drain the cancellation events (they hold the last strong refs)
+  e.run_until();  // deliver the cancellation events...
+  e.run_until();  // ...and expire that log (it held the last strong refs)
   // Any new scheduling triggers the stale-dominated compaction.
   auto trigger = e.sleep_start(0, 1.0);
   (void)trigger;
@@ -646,7 +644,7 @@ TEST_F(EngineTest, ReentrantObserverCancelDoesNotDoubleFinish) {
       b->cancel();  // re-enters finish_action while b is a pending victim
   });
   e.set_host_state(0, false);
-  auto events = e.step();  // drain pending failure events
+  auto events = e.run_until();  // drain pending failure events
   EXPECT_EQ(a->state(), ActionState::kFailed);
   EXPECT_EQ(b->state(), ActionState::kCanceled);
   EXPECT_EQ(c->state(), ActionState::kFailed);
@@ -682,10 +680,10 @@ TEST_F(EngineTest, PtaskSpanningTwoFailedConstraintsEmitsOneEvent) {
   Engine e(std::move(p));
   auto pt = e.ptask_start({0, 1}, {1e12, 1e12}, {{0.0, 1e12}, {0.0, 0.0}});
   auto bystander = e.exec_start(1, 1e12);
-  e.step(0.5);
+  e.run_until(0.5);
   e.set_host_state(0, false);
   e.set_link_state(0, false);
-  auto events = e.step();
+  auto events = e.run_until();
   int pt_failures = 0;
   for (const auto& ev : events)
     if (ev.action.get() == pt.get()) {
@@ -708,9 +706,9 @@ TEST_F(EngineTest, DuplicateElementsOnOneConstraintFailOnce) {
   p.add_route(a, b, {l});
   Engine e(std::move(p));
   auto pt = e.ptask_start({0, 1}, {0.0, 0.0}, {{0.0, 1e12}, {1e12, 0.0}});
-  e.step(0.25);
+  e.run_until(0.25);
   e.set_link_state(0, false);
-  auto events = e.step();
+  auto events = e.run_until();
   int failures = 0;
   for (const auto& ev : events)
     if (ev.action.get() == pt.get() && ev.failed)
@@ -725,10 +723,10 @@ TEST_F(EngineTest, LoopbackCommDiesWithItsHost) {
   p.add_host("other", 1e9);
   Engine e(std::move(p));
   auto c = e.comm_start(0, 0, 1e12);
-  e.step(0.1);
+  e.run_until(0.1);
   EXPECT_EQ(c->state(), ActionState::kRunning);
   e.set_host_state(0, false);
-  auto events = e.step();
+  auto events = e.run_until();
   int failures = 0;
   for (const auto& ev : events)
     if (ev.action.get() == c.get() && ev.failed)
@@ -743,10 +741,10 @@ TEST_F(EngineTest, LoopbackCommDiesWithItsHost) {
 
   // After recovery the loopback works again at full speed.
   e.set_host_state(0, true);
-  e.step();
+  e.run_until();
   auto revived = e.comm_start(0, 0, 1e9);
   for (int guard = 0; guard < 1000 && revived->state() == ActionState::kRunning; ++guard)
-    e.step();
+    e.run_until();
   EXPECT_EQ(revived->state(), ActionState::kDone);
 }
 
@@ -758,9 +756,9 @@ TEST_F(EngineTest, SleepIndexKillsOnlyAffectedHost) {
   auto s_a1 = e.sleep_start(0, 100.0);
   auto s_b = e.sleep_start(1, 100.0);
   auto s_a2 = e.sleep_start(0, 200.0);
-  e.step(1.0);
+  e.run_until(1.0);
   e.set_host_state(0, false);
-  auto events = e.step();
+  auto events = e.run_until();
   EXPECT_EQ(events.size(), 2u);
   EXPECT_EQ(s_a1->state(), ActionState::kFailed);
   EXPECT_EQ(s_a2->state(), ActionState::kFailed);
@@ -777,10 +775,10 @@ TEST_F(EngineTest, SuspendedActionStillFailsWithItsResource) {
   p.add_host("h", 1e9);
   Engine e(std::move(p));
   auto a = e.exec_start(0, 1e12);
-  e.step(0.5);
+  e.run_until(0.5);
   a->suspend();
   e.set_host_state(0, false);
-  e.step();
+  e.run_until();
   EXPECT_EQ(a->state(), ActionState::kFailed);
 }
 
@@ -819,9 +817,15 @@ TEST_F(EngineTest, NamedAndDefaultActionNames) {
   });
   auto plain = e.exec_start(0, 1e9);
   auto named = e.exec_start(0, 1e9, 1.0, "my-job");
-  ASSERT_EQ(observed.size(), 2u);
-  EXPECT_EQ(observed[0], "exec");
-  EXPECT_EQ(observed[1], "my-job");
+  e.comm_start(0, 0, 1e6);
+  e.comm_start(0, 0, 1e6, -1.0, "my-comm");
+  e.ptask_start({0}, {1e9}, {});
+  e.ptask_start({0}, {1e9}, {}, "my-ptask");
+  e.sleep_start(0, 1.0);
+  e.sleep_start(0, 1.0, "my-sleep");
+  // Every kind fires its creation notice, with the name already set.
+  EXPECT_EQ(observed, (std::vector<std::string>{"exec", "my-job", "comm", "my-comm", "ptask",
+                                                "my-ptask", "sleep", "my-sleep"}));
   e.set_action_observer(nullptr);
   auto explicit_default = e.sleep_start(0, 1.0, "sleep");
   EXPECT_EQ(plain->name(), "exec");

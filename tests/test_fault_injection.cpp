@@ -129,7 +129,7 @@ TEST_F(FaultInjectionTest, RandomFlapsMatchBruteForceReference) {
                     tracked.end());
     };
 
-    auto drain = [&](const std::vector<ActionEvent>& events) {
+    auto drain = [&](const StepLog& events) {
       for (const auto& ev : events) {
         if (ev.failed)
           ++failure_deliveries[ev.action];
@@ -143,9 +143,9 @@ TEST_F(FaultInjectionTest, RandomFlapsMatchBruteForceReference) {
     for (int round = 0; round < 120; ++round) {
       // Advance a little, letting completions interleave with failures.
       const double until = e.now() + rng.uniform(0.01, 0.3);
-      while (e.next_event_time() < until)
-        drain(e.step(until));
-      drain(e.step(until));
+      do
+        drain(e.run_until(until));
+      while (e.now() < until);
 
       const double op = rng.uniform01();
       if (op < 0.4) {
@@ -159,14 +159,14 @@ TEST_F(FaultInjectionTest, RandomFlapsMatchBruteForceReference) {
                             : static_cast<int>(rng.uniform_int(0, static_cast<std::uint64_t>(n_links - 1)));
       const bool currently_on = is_host ? e.host_is_on(index) : e.link_is_on(index);
       if (!currently_on) {
-        // Heal it; nothing may fail because of a recovery. step(now) cannot
+        // Heal it; nothing may fail because of a recovery. run_until(now) cannot
         // advance time, so only pending events (and completions due exactly
         // now) surface here.
         if (is_host)
           e.set_host_state(index, true);
         else
           e.set_link_state(index, true);
-        for (const auto& ev : e.step(e.now())) {
+        for (const auto& ev : e.run_until(e.now())) {
           EXPECT_FALSE(ev.failed) << "recovery produced a failure event";
           drop_finished(ev.action.get());
         }
@@ -180,10 +180,10 @@ TEST_F(FaultInjectionTest, RandomFlapsMatchBruteForceReference) {
       else
         e.set_link_state(index, false);
 
-      // step(now) delivers the pending failures without advancing the clock;
+      // run_until(now) delivers the pending failures without advancing the clock;
       // completions that happen to be due exactly now are drained normally.
       std::set<const Action*> actual;
-      for (const auto& ev : e.step(flap_time)) {
+      for (const auto& ev : e.run_until(flap_time)) {
         if (!ev.failed) {
           drop_finished(ev.action.get());
           continue;
@@ -248,11 +248,7 @@ std::vector<LoggedEvent> run_workload(Engine& e, double horizon,
     double bound = horizon;
     if (next_flap < manual_flaps.size())
       bound = std::min(bound, manual_flaps[next_flap].first);
-    const double t = e.next_event_time();
-    if (t > bound && next_flap >= manual_flaps.size() && bound == horizon)
-      break;
-    auto events = e.step(bound);
-    for (const auto& ev : events) {
+    for (const auto& ev : e.run_until(bound)) {
       log.push_back({e.now(), ev.failed, ev.action->kind(), ev.action->host()});
       if (ev.action->kind() == ActionKind::kExec)
         submit_exec(ev.action->host());
@@ -261,7 +257,7 @@ std::vector<LoggedEvent> run_workload(Engine& e, double horizon,
     }
     if (next_flap < manual_flaps.size() && e.now() >= manual_flaps[next_flap].first - 1e-12) {
       e.set_host_state(flapping_host, manual_flaps[next_flap].second);
-      for (const auto& ev : e.step()) {  // deliver the injected failures
+      for (const auto& ev : e.run_until()) {  // deliver the injected failures
         log.push_back({e.now(), ev.failed, ev.action->kind(), ev.action->host()});
         if (ev.action->kind() == ActionKind::kExec)
           submit_exec(ev.action->host());

@@ -3,9 +3,14 @@
 /// paper's headline feature.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <cstdint>
 
 #include "gras/gras.hpp"
+#include "gras/runtime.hpp"
 #include "platform/builders.hpp"
 #include "xbt/config.hpp"
 #include "xbt/exception.hpp"
@@ -334,6 +339,20 @@ TEST_F(GrasTest, StructuredPayloadBothModes) {
     world.join_all();
     EXPECT_EQ(got, job);
   }
+}
+
+TEST(GrasFrameTest, OversizedPayloadLengthIsRefused) {
+  // A frame header announcing a 4 GiB payload must be refused before any
+  // buffer is sized from it, not answered with a 4 GiB allocation.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const std::uint8_t header[] = {'G', 'R', 'A', 'S', 0, 1, 'x', 0xFF, 0xFF, 0xFF, 0xFF};
+  ASSERT_EQ(::write(fds[0], header, sizeof header), static_cast<ssize_t>(sizeof header));
+  detail::Frame frame;
+  EXPECT_THROW(detail::recv_frame(fds[1], frame), sg::xbt::NetworkFailureException);
+  EXPECT_TRUE(frame.wire.empty());
+  ::close(fds[0]);
+  ::close(fds[1]);
 }
 
 }  // namespace

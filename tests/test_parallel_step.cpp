@@ -559,8 +559,7 @@ TEST_F(ParallelStepTest, TraceEventBeatsCompletionAtTheSameDate) {
 }
 
 // ---------------------------------------------------------------------------
-// run_until() semantics (the API the old step()/next_event_time() polling
-// loop collapsed into)
+// run_until() semantics
 // ---------------------------------------------------------------------------
 
 TEST_F(ParallelStepTest, RunUntilJumpsToDeadlineWhenNothingFires) {
@@ -593,12 +592,8 @@ TEST_F(ParallelStepTest, RunUntilSpanStaysValidUntilNextCall) {
   e.exec_start(0, 1e8);
   const auto fired = e.run_until();
   ASSERT_EQ(fired.size(), 2u);
-  // The span is a view into engine-owned storage: readable after the call...
+  // The span is a view into engine-owned storage: readable after the call.
   EXPECT_EQ(fired[0].action->state(), ActionState::kDone);
-  // ...and the deprecated step() wrapper still returns an owning vector.
-  e.exec_start(0, 1e8);
-  const std::vector<ActionEvent> owned = e.step();
-  EXPECT_EQ(owned.size(), 1u);
 }
 
 // ---------------------------------------------------------------------------

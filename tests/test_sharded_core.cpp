@@ -487,7 +487,7 @@ TEST_F(ShardedEngineTest, CrossZoneCommSpansThreeShards) {
   Engine e(make_two_zone_platform());
   EXPECT_EQ(e.shard_count(), 3);
   auto comm = e.comm_start(0, 4, 1e6);  // z00 -> z10
-  e.step(0.0);  // assign rates without firing the completion
+  e.run_until(0.0);  // assign rates without firing the completion
   const ShardedMaxMin& sys = e.sharing_system();
   // The flow's variable has replicas in zone 1, backbone, and zone 2.
   EXPECT_GT(sys.shard(1).variable_count(), 0u);
@@ -502,14 +502,14 @@ TEST_F(ShardedEngineTest, IntraZoneChurnLeavesOtherShardsCold) {
   Engine e(make_two_zone_platform());
   // Park a flow in zone 2 so its shard has state that must stay untouched.
   auto parked = e.comm_start(4, 5, 1e18);
-  e.step(0.0);
+  e.run_until(0.0);
   const auto idle = e.sharing_system().shard(2).solve_stats();
   const auto idle_groups = e.sharing_system().group_solve_count();
 
   // Churn in zone 1 only.
   auto flow = e.comm_start(0, 1, 1e6);
   for (int i = 0; i < 200; ++i) {
-    auto fired = e.step();
+    auto fired = e.run_until();
     for (auto& ev : fired)
       if (ev.action.get() == flow.get())
         flow = e.comm_start(0, 1, 1e6);
@@ -641,7 +641,7 @@ TEST_F(ShardedEngineTest, ShardedEngineMatchesGlobalEngineUnderChurnAndFaults) {
     for (int step = 0; step < kSteps; ++step) {
       const double bound = next_fault < faults.size() ? faults[next_fault].t
                                                       : std::numeric_limits<double>::infinity();
-      auto fired = d.e->step(bound);
+      auto fired = d.e->run_until(bound);
       if (fired.empty() && next_fault < faults.size() && d.e->now() >= faults[next_fault].t) {
         const Fault& f = faults[next_fault++];
         if (f.is_host)
@@ -720,14 +720,14 @@ Platform make_star3() {
 TEST_F(ShardedEngineTest, TransitCommSurvivesEndpointDeathByDefault) {
   Engine e(make_star3());
   auto comm = e.comm_start(0, 1, 1e8);
-  e.step(0.0);
+  e.run_until(0.0);
   e.set_host_state(0, false);  // source host dies mid-transfer
-  auto events = e.step();
+  auto events = e.run_until();
   for (auto& ev : events)
     EXPECT_FALSE(ev.failed) << "CM02 transit comm must not fail with its endpoint";
   // It still completes at the normal date (1e8 B at 1e8 B/s = 1 s).
   while (comm->state() == ActionState::kRunning)
-    e.step();
+    e.run_until();
   EXPECT_EQ(comm->state(), ActionState::kDone);
   EXPECT_NEAR(comm->finish_time(), 1.0, 1e-9);
 }
@@ -738,9 +738,9 @@ TEST_F(ShardedEngineTest, KillTransitCommsFailsCommsOfDeadEndpoints) {
   auto out = e.comm_start(0, 1, 1e8);       // dead host is the source
   auto in = e.comm_start(2, 0, 1e8);        // dead host is the destination
   auto bystander = e.comm_start(1, 2, 1e8); // does not touch host 0
-  e.step(0.0);
+  e.run_until(0.0);
   e.set_host_state(0, false);
-  auto events = e.step();
+  auto events = e.run_until();
   int failed = 0;
   for (auto& ev : events) {
     EXPECT_TRUE(ev.failed);
@@ -752,7 +752,7 @@ TEST_F(ShardedEngineTest, KillTransitCommsFailsCommsOfDeadEndpoints) {
   EXPECT_EQ(in->state(), ActionState::kFailed);
   EXPECT_EQ(bystander->state(), ActionState::kRunning);
   while (bystander->state() == ActionState::kRunning)
-    e.step();
+    e.run_until();
   EXPECT_EQ(bystander->state(), ActionState::kDone);
 }
 
@@ -760,9 +760,9 @@ TEST_F(ShardedEngineTest, KillTransitLoopbackCommFailsExactlyOnce) {
   sg::xbt::Config::instance().set("engine/kill-transit-comms", 1.0);
   Engine e(make_star3());
   auto loop = e.comm_start(0, 0, 1e8);  // loopback: registered once, also on
-  e.step(0.0);                          // the loopback constraint
+  e.run_until(0.0);                          // the loopback constraint
   e.set_host_state(0, false);
-  auto events = e.step();
+  auto events = e.run_until();
   int failures = 0;
   for (auto& ev : events)
     if (ev.action.get() == loop.get())
@@ -776,12 +776,12 @@ TEST_F(ShardedEngineTest, KillTransitCompletedCommLeavesNoStaleIndexEntry) {
   Engine e(make_star3());
   auto first = e.comm_start(0, 1, 1e6);
   while (first->state() == ActionState::kRunning)
-    e.step();
+    e.run_until();
   EXPECT_EQ(first->state(), ActionState::kDone);
   auto second = e.comm_start(1, 2, 1e8);  // re-uses the recycled slot
-  e.step(0.0);
+  e.run_until(0.0);
   e.set_host_state(0, false);  // must not fail anything (old entry is gone)
-  auto events = e.step(0.1);   // second's completion is at t=1
+  auto events = e.run_until(0.1);   // second's completion is at t=1
   for (auto& ev : events)
     EXPECT_FALSE(ev.failed);
   EXPECT_EQ(second->state(), ActionState::kRunning);
@@ -791,11 +791,80 @@ TEST_F(ShardedEngineTest, KillTransitSuspendedCommFailsToo) {
   sg::xbt::Config::instance().set("engine/kill-transit-comms", 1.0);
   Engine e(make_star3());
   auto comm = e.comm_start(0, 1, 1e8);
-  e.step(0.0);
+  e.run_until(0.0);
   comm->suspend();
   e.set_host_state(1, false);
-  e.step();
+  e.run_until();
   EXPECT_EQ(comm->state(), ActionState::kFailed);
+}
+
+// The explicit state-change API (set_host_state / leave_host / cancel) runs
+// in the serial context: every victim finishes in discovery order, the
+// action observer fires inline per victim, and the resource notices follow.
+// This pins both orders on a host carrying one activity of every flavour —
+// CPU, loopback, sleep, intra-zone and cross-zone (backbone-shard) comms.
+TEST_F(ShardedEngineTest, LeaveHostDeliversInDiscoveryOrderWithInlineObservers) {
+  sg::xbt::Config::instance().set("engine/kill-transit-comms", 1.0);
+  Engine e(make_two_zone_platform());
+  const int h = 0, intra_peer = 1, cross_peer = 4;
+  ASSERT_EQ(e.shard_of_host(h), e.shard_of_host(intra_peer));
+  ASSERT_NE(e.shard_of_host(h), e.shard_of_host(cross_peer));
+  auto exec = e.exec_start(h, 1e12, 1.0, "exec0");
+  auto loop = e.comm_start(h, h, 1e12, -1.0, "loop0");
+  auto nap = e.sleep_start(h, 100.0, "nap0");
+  auto intra = e.comm_start(h, intra_peer, 1e12, -1.0, "intra0");
+  auto cross = e.comm_start(h, cross_peer, 1e12, -1.0, "cross0");
+  EXPECT_TRUE(e.run_until(0.5).empty());
+
+  std::vector<std::string> calls;
+  e.set_action_observer([&](const Action& a, ActionState, ActionState ns) {
+    calls.push_back(a.name() + (ns == ActionState::kFailed ? ":failed" : ":other"));
+  });
+  e.set_resource_observer([&](bool is_host, int index, bool on) {
+    calls.push_back(std::string(is_host ? "host" : "link") + std::to_string(index) +
+                    (on ? ":on" : ":off"));
+  });
+  const auto links = e.platform().host_private_links(h);
+  ASSERT_FALSE(links.empty());
+  e.leave_host(h);
+
+  // Victims come CPU, loopback, sleeps, then the endpoint index — where the
+  // loopback's finish swap-removed itself and moved cross0 ahead of intra0.
+  std::vector<std::string> want_calls = {"exec0:failed", "loop0:failed", "nap0:failed",
+                                         "cross0:failed", "intra0:failed", "host0:off"};
+  for (const LinkId l : links)
+    want_calls.push_back("link" + std::to_string(l) + ":off");
+  EXPECT_EQ(calls, want_calls);
+
+  std::vector<std::string> delivered;
+  for (const ActionEvent& ev : e.run_until())
+    delivered.push_back(ev.action->name() + (ev.failed ? ":failed" : ":other"));
+  EXPECT_EQ(delivered, (std::vector<std::string>{"exec0:failed", "loop0:failed", "nap0:failed",
+                                                 "cross0:failed", "intra0:failed"}));
+  EXPECT_EQ(e.running_action_count(), 0u);
+}
+
+// Re-entrancy: an observer that cancels a not-yet-failed victim from inside
+// the sweep finishes it at once, and the cancellation is delivered BEFORE
+// the failures the sweep is still collecting.
+TEST_F(ShardedEngineTest, CancelFromObserverIsDeliveredBeforeTheSweepsFailures) {
+  sg::xbt::Config::instance().set("engine/kill-transit-comms", 1.0);
+  Engine e(make_two_zone_platform());
+  auto exec = e.exec_start(0, 1e12, 1.0, "exec0");
+  auto nap = e.sleep_start(0, 100.0, "nap0");
+  auto cross = e.comm_start(0, 4, 1e12, -1.0, "cross0");
+  EXPECT_TRUE(e.run_until(0.5).empty());
+  e.set_action_observer([&](const Action& a, ActionState, ActionState ns) {
+    if (ns == ActionState::kFailed && a.name() == "exec0")
+      nap->cancel();
+  });
+  e.leave_host(0);
+  std::vector<std::string> delivered;
+  for (const ActionEvent& ev : e.run_until())
+    delivered.push_back(ev.action->name() + (ev.failed ? ":failed" : ":other"));
+  EXPECT_EQ(delivered, (std::vector<std::string>{"nap0:other", "exec0:failed", "cross0:failed"}));
+  EXPECT_EQ(nap->state(), ActionState::kCanceled);
+  EXPECT_EQ(e.running_action_count(), 0u);
 }
 
 }  // namespace
