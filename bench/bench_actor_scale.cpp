@@ -28,7 +28,7 @@
 #include "kernel/context.hpp"
 #include "kernel/kernel.hpp"
 #include "platform/platform.hpp"
-#include "xbt/config.hpp"
+#include "xbt/settings.hpp"
 #include "xbt/str.hpp"
 
 namespace {
@@ -225,9 +225,8 @@ int main(int argc, char** argv) {
   // Swarm tuning (same as examples/actor_swarm.cpp): tiny lazily-committed
   // stacks, no guard pages so 1M stacks fit the default VMA budget.
   sg::kernel::declare_context_config();
-  auto& cfg = sg::xbt::Config::instance();
-  cfg.set("contexts/stack-size", 64.0 * 1024);
-  cfg.set("contexts/guard-pages", 0.0);
+  sg::config::set(sg::kernel::kCfgContextStackSize, 64.0 * 1024);
+  sg::config::set(sg::kernel::kCfgContextGuardPages, 0);
 
   std::vector<long> scales{10000, 100000, 1000000};
   if (quick)

@@ -22,7 +22,7 @@
 #include "kernel/context.hpp"
 #include "kernel/kernel.hpp"
 #include "platform/platform.hpp"
-#include "xbt/config.hpp"
+#include "xbt/settings.hpp"
 
 using sg::kernel::Kernel;
 using sg::kernel::MailboxId;
@@ -58,6 +58,15 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Swarm tuning: tiny stacks (the bodies below are shallow) and no guard
+  // pages — at 1M actors, per-stack mprotect guards would exhaust the
+  // default vm.max_map_count VMA budget; slab pooling keeps mappings at
+  // one per 256 stacks instead. A --cfg item overrides either.
+  sg::kernel::declare_context_config();
+  sg::config::set(sg::kernel::kCfgContextStackSize, 64.0 * 1024);
+  sg::config::set(sg::kernel::kCfgContextGuardPages, 0);
+  sg::config::parse_args(argc, argv);
+
   long n_actors = 20000;
   if (const char* env = std::getenv("SWARM_ACTORS"))
     n_actors = std::atol(env);
@@ -66,15 +75,6 @@ int main(int argc, char** argv) {
   const int rounds = argc > 2 ? std::atoi(argv[2]) : 2;
   const long n_pairs = std::max(1L, n_actors / 2);
   n_actors = n_pairs * 2;
-
-  // Swarm tuning: tiny stacks (the bodies below are shallow) and no guard
-  // pages — at 1M actors, per-stack mprotect guards would exhaust the
-  // default vm.max_map_count VMA budget; slab pooling keeps mappings at
-  // one per 256 stacks instead.
-  sg::kernel::declare_context_config();
-  auto& cfg = sg::xbt::Config::instance();
-  cfg.set("contexts/stack-size", 64.0 * 1024);
-  cfg.set("contexts/guard-pages", 0.0);
 
   // A few cluster zones so the per-shard run queues actually shard.
   const int zones = n_actors >= 500000 ? 16 : 4;

@@ -9,6 +9,7 @@
 
 #include "gras/gras.hpp"
 #include "platform/platform.hpp"
+#include "xbt/settings.hpp"
 
 using namespace sg::gras;
 using sg::datadesc::Value;
@@ -56,6 +57,7 @@ void server() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  sg::config::parse_args(argc, argv);
   const bool real = argc > 1 && std::strcmp(argv[1], "real") == 0;
 
   if (real) {

@@ -14,6 +14,7 @@
 #include "kernel/kernel.hpp"
 #include "platform/builders.hpp"
 #include "xbt/random.hpp"
+#include "xbt/settings.hpp"
 
 using sg::kernel::Kernel;
 using sg::kernel::MailboxId;
@@ -67,6 +68,7 @@ void master(Kernel& k, int n_tasks, int n_workers, const std::vector<MailboxId>&
 }  // namespace
 
 int main(int argc, char** argv) {
+  sg::config::parse_args(argc, argv);
   const int n_workers = argc > 1 ? std::atoi(argv[1]) : 4;
   const int n_tasks = argc > 2 ? std::atoi(argv[2]) : 16;
 

@@ -23,6 +23,7 @@
 #include "kernel/membership.hpp"
 #include "platform/platform.hpp"
 #include "trace/trace.hpp"
+#include "xbt/settings.hpp"
 
 using sg::kernel::HostChurn;
 using sg::kernel::Kernel;
@@ -30,6 +31,7 @@ using sg::kernel::MailboxId;
 using sg::kernel::RetryPolicy;
 
 int main(int argc, char** argv) {
+  sg::config::parse_args(argc, argv);
   const int n_units = argc > 1 ? std::atoi(argv[1]) : 40;
 
   // Sealed star cluster: node0 is the stable coordinator, node1..4 are the

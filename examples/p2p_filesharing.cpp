@@ -18,6 +18,7 @@
 #include "trace/trace.hpp"
 #include "xbt/exception.hpp"
 #include "xbt/random.hpp"
+#include "xbt/settings.hpp"
 
 using sg::kernel::Kernel;
 using sg::kernel::MailboxId;
@@ -100,6 +101,7 @@ void leecher(Kernel& k, const Mailboxes& mb, int my_id, int n_peers) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  sg::config::parse_args(argc, argv);
   const int n_peers = argc > 1 ? std::atoi(argv[1]) : 6;
 
   // Internet-ish star with volatile hosts: every peer flaps with its own

@@ -8,6 +8,7 @@
 
 #include "platform/platform.hpp"
 #include "smpi/smpi.hpp"
+#include "xbt/settings.hpp"
 
 using namespace sg::smpi;
 
@@ -65,6 +66,7 @@ double run_on(sg::platform::Platform platform, int P, int M, const char* label) 
 }  // namespace
 
 int main(int argc, char** argv) {
+  sg::config::parse_args(argc, argv);
   const int P = argc > 1 ? std::atoi(argv[1]) : 4;
   const int M = argc > 2 ? std::atoi(argv[2]) : 256;
 

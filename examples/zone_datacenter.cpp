@@ -18,6 +18,7 @@
 #include "core/engine.hpp"
 #include "platform/platform.hpp"
 #include "xbt/random.hpp"
+#include "xbt/settings.hpp"
 
 namespace {
 
@@ -29,6 +30,7 @@ struct Task {
 }  // namespace
 
 int main(int argc, char** argv) {
+  sg::config::parse_args(argc, argv);
   const int per_zone = argc > 1 ? std::atoi(argv[1]) : 16384;
   const int n_tasks = argc > 2 ? std::atoi(argv[2]) : 10000;
   const int window = argc > 3 ? std::atoi(argv[3]) : 128;

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/workers.hpp"
-#include "xbt/config.hpp"
 #include "xbt/exception.hpp"
 #include "xbt/log.hpp"
 #include "xbt/str.hpp"

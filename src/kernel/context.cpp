@@ -11,7 +11,6 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
-#include "xbt/config.hpp"
 #include "xbt/exception.hpp"
 #include "xbt/log.hpp"
 

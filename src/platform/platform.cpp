@@ -439,6 +439,12 @@ std::optional<LinkId> Platform::link_by_name(const std::string& name) const {
   return it->second;
 }
 
+void declare_platform_config() {
+  config::declare(kCfgSsspCache, 64, 1, 1 << 20,
+                  "max memoized single-source shortest-path trees (LRU); "
+                  "seal() raises it to hosts/16 when that is larger");
+}
+
 void Platform::seal() {
   if (sealed_)
     return;
@@ -452,9 +458,7 @@ void Platform::seal() {
   // SSSP-tree LRU capacity: configured floor, raised adaptively with the
   // platform size so that > 64 concurrently active sources (each tree is
   // O(nodes)) do not evict each other in a thrash loop.
-  config::declare(kCfgSsspCache, 64, 1, 1 << 20,
-                  "max memoized single-source shortest-path trees (LRU); "
-                  "seal() raises it to hosts/16 when that is larger");
+  declare_platform_config();
   const long configured = config::get(kCfgSsspCache);
   sssp_cache_cap_ = std::max(static_cast<size_t>(configured), hosts_.size() / 16);
   build_shard_map();

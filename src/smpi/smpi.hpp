@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "platform/platform.hpp"
+#include "xbt/settings.hpp"
 
 namespace sg::smpi {
 
@@ -51,6 +52,12 @@ struct RequestRec;
 using Request = std::shared_ptr<RequestRec>;
 
 // -- world --------------------------------------------------------------------
+
+/// Messages up to this many bytes are sent eagerly; larger ones rendezvous.
+inline constexpr config::NumberKey kCfgEagerThreshold{"smpi/eager-threshold"};
+
+/// Register the `smpi/*` config keys (idempotent).
+void declare_smpi_config();
 
 /// Run an "MPI application": spawn `nranks` processes executing `rank_main`,
 /// mapped round-robin onto the platform hosts (or onto `host_names` when

@@ -2,28 +2,31 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <functional>
 #include <map>
+#include <variant>
 
-#include "xbt/config.hpp"
 #include "xbt/exception.hpp"
 #include "xbt/str.hpp"
 
 namespace sg::config {
 namespace {
 
-struct Meta {
-  Type type = Type::kNumber;
+/// The typed value; the alternative index is the key's Type.
+using Value = std::variant<bool, long, double, std::string>;
+
+struct Entry {
+  Value value;
   long min = 0, max = 0;  ///< IntKey range
   std::string description;
   std::string env;
+  Type type() const { return static_cast<Type>(value.index()); }
 };
 
-std::map<std::string, Meta>& registry() {
-  static std::map<std::string, Meta> r;
+std::map<std::string, Entry, std::less<>>& registry() {
+  static std::map<std::string, Entry, std::less<>> r;
   return r;
 }
-
-xbt::Config& store() { return xbt::Config::instance(); }
 
 const char* type_name(Type t) {
   switch (t) {
@@ -35,10 +38,10 @@ const char* type_name(Type t) {
   return "?";
 }
 
-[[noreturn]] void throw_unknown(const char* key) {
-  std::string msg = std::string("unknown config key: ") + key + " (valid keys:";
+[[noreturn]] void throw_unknown(std::string_view key) {
+  std::string msg = "unknown config key: " + std::string(key) + " (valid keys:";
   bool first = true;
-  for (const auto& [name, meta] : registry()) {
+  for (const auto& [name, entry] : registry()) {
     msg += first ? " " : ", ";
     msg += name;
     first = false;
@@ -49,152 +52,122 @@ const char* type_name(Type t) {
   throw xbt::InvalidArgument(msg);
 }
 
-const Meta& require(const char* key, Type want) {
+Entry& require(std::string_view key, Type want) {
   auto it = registry().find(key);
   if (it == registry().end())
     throw_unknown(key);
-  if (it->second.type != want)
-    throw xbt::InvalidArgument(std::string("config key ") + key + " is a " +
-                               type_name(it->second.type) + ", accessed as a " + type_name(want));
+  if (it->second.type() != want)
+    throw xbt::InvalidArgument("config key " + std::string(key) + " is a " +
+                               type_name(it->second.type()) + ", accessed as a " + type_name(want));
   return it->second;
 }
 
-/// Parse an env override for a numeric/flag key; flags accept 0/1 and
-/// true/false/on/off/yes/no (case matters: these are config literals).
-bool parse_env_number(const char* text, Type type, double* out) {
-  const std::string v = xbt::trim(text);
-  if (v.empty())
-    return false;
-  if (type == Type::kFlag) {
-    if (v == "1" || v == "true" || v == "on" || v == "yes") { *out = 1.0; return true; }
-    if (v == "0" || v == "false" || v == "off" || v == "no") { *out = 0.0; return true; }
-  }
-  char* end = nullptr;
-  const double num = std::strtod(v.c_str(), &end);
-  if (end == v.c_str() || *end != '\0')
-    return false;
-  *out = num;
-  return true;
+/// "config key K: <what>", plus the environment variable when it is the source.
+[[noreturn]] void throw_bad(std::string_view key, const std::string& what, const char* env) {
+  std::string msg = "config key " + std::string(key) + ": " + what;
+  if (env != nullptr)
+    msg += std::string(" (from environment variable ") + env + ")";
+  throw xbt::InvalidArgument(msg);
 }
 
-void register_meta(const char* key, Type type, long min, long max, const std::string& description,
-                   const char* env) {
-  Meta& meta = registry()[key];
-  meta.type = type;
-  meta.min = min;
-  meta.max = max;
-  if (meta.description.empty())
-    meta.description = description;
+void check_range(std::string_view key, const Entry& e, double value, const char* env) {
+  if (value < static_cast<double>(e.min) || value > static_cast<double>(e.max))
+    throw_bad(key,
+              "value " + xbt::format("%g", value) + " outside [" + std::to_string(e.min) + ", " +
+                  std::to_string(e.max) + "]",
+              env);
+}
+
+/// The one parser for text from outside the program (--cfg items, env seeds).
+Value parse(std::string_view key, const Entry& e, std::string_view raw, const char* env) {
+  const std::string text = xbt::trim(raw);
+  if (e.type() == Type::kString)
+    return text;
+  if (e.type() == Type::kFlag) {
+    if (text == "1" || text == "true" || text == "on" || text == "yes")
+      return true;
+    if (text == "0" || text == "false" || text == "off" || text == "no")
+      return false;
+    throw_bad(key, "'" + text + "' is not a flag (0/1/true/false/on/off/yes/no)", env);
+  }
+  char* end = nullptr;
+  const double num = std::strtod(text.c_str(), &end);
+  const char* want = e.type() == Type::kInt ? "an integer" : "a number";
+  if (text.empty() || *end != '\0')
+    throw_bad(key, "'" + text + "' is not " + want, env);
+  if (e.type() == Type::kNumber)
+    return num;
+  if (num != std::floor(num))
+    throw_bad(key, "'" + text + "' is not " + want, env);
+  check_range(key, e, num, env);
+  return static_cast<long>(num);
+}
+
+void declare_entry(std::string_view key, Value def, long min, long max,
+                   const std::string& description, const char* env) {
+  if (registry().find(key) != registry().end())
+    return;
+  Entry e{std::move(def), min, max, description, env != nullptr ? env : ""};
   if (env != nullptr)
-    meta.env = env;
+    if (const char* text = std::getenv(env); text != nullptr && !xbt::trim(text).empty())
+      e.value = parse(key, e, text, env);
+  registry().emplace(std::string(key), std::move(e));
 }
 
 }  // namespace
 
 void declare(FlagKey key, bool default_value, const std::string& description, const char* env) {
-  double def = default_value ? 1.0 : 0.0;
-  if (env != nullptr)
-    if (const char* text = std::getenv(env))
-      parse_env_number(text, Type::kFlag, &def);
-  register_meta(key.name, Type::kFlag, 0, 0, description, env);
-  store().declare(key.name, def, description);
+  declare_entry(key.name, default_value, 0, 0, description, env);
 }
 
 void declare(IntKey key, long default_value, long min, long max, const std::string& description,
              const char* env) {
-  double def = static_cast<double>(default_value);
-  if (env != nullptr)
-    if (const char* text = std::getenv(env))
-      parse_env_number(text, Type::kInt, &def);
-  register_meta(key.name, Type::kInt, min, max, description, env);
-  store().declare(key.name, def, description);
+  declare_entry(key.name, default_value, min, max, description, env);
 }
 
 void declare(NumberKey key, double default_value, const std::string& description, const char* env) {
-  double def = default_value;
-  if (env != nullptr)
-    if (const char* text = std::getenv(env))
-      parse_env_number(text, Type::kNumber, &def);
-  register_meta(key.name, Type::kNumber, 0, 0, description, env);
-  store().declare(key.name, def, description);
+  declare_entry(key.name, default_value, 0, 0, description, env);
 }
 
 void declare(StringKey key, const std::string& default_value, const std::string& description,
              const char* env) {
-  std::string def = default_value;
-  if (env != nullptr)
-    if (const char* text = std::getenv(env)) {
-      const std::string v = xbt::trim(text);
-      if (!v.empty())
-        def = v;
-    }
-  register_meta(key.name, Type::kString, 0, 0, description, env);
-  store().declare_string(key.name, def, description);
+  declare_entry(key.name, default_value, 0, 0, description, env);
 }
 
-bool get(FlagKey key) {
-  require(key.name, Type::kFlag);
-  return store().get(key.name) != 0.0;
-}
+bool get(FlagKey key) { return std::get<bool>(require(key.name, Type::kFlag).value); }
+long get(IntKey key) { return std::get<long>(require(key.name, Type::kInt).value); }
+double get(NumberKey key) { return std::get<double>(require(key.name, Type::kNumber).value); }
+std::string get(StringKey key) { return std::get<std::string>(require(key.name, Type::kString).value); }
 
-long get(IntKey key) {
-  const Meta& meta = require(key.name, Type::kInt);
-  const double raw = store().get(key.name);
-  long value = std::lround(raw);
-  // The raw store (and --cfg passthrough) can hold any double; clamp to the
-  // declared range rather than propagating a nonsense thread/cache count.
-  if (value < meta.min)
-    value = meta.min;
-  if (value > meta.max)
-    value = meta.max;
-  return value;
-}
-
-double get(NumberKey key) {
-  require(key.name, Type::kNumber);
-  return store().get(key.name);
-}
-
-std::string get(StringKey key) {
-  require(key.name, Type::kString);
-  return store().get_string(key.name);
-}
-
-void set(FlagKey key, bool value) {
-  require(key.name, Type::kFlag);
-  store().set(key.name, value ? 1.0 : 0.0);
-}
+void set(FlagKey key, bool value) { require(key.name, Type::kFlag).value = value; }
 
 void set(IntKey key, long value) {
-  const Meta& meta = require(key.name, Type::kInt);
-  if (value < meta.min || value > meta.max)
-    throw xbt::InvalidArgument(std::string("config key ") + key.name + ": value " +
-                               std::to_string(value) + " outside [" + std::to_string(meta.min) +
-                               ", " + std::to_string(meta.max) + "]");
-  store().set(key.name, static_cast<double>(value));
+  Entry& e = require(key.name, Type::kInt);
+  check_range(key.name, e, static_cast<double>(value), nullptr);
+  e.value = value;
 }
 
-void set(NumberKey key, double value) {
-  require(key.name, Type::kNumber);
-  store().set(key.name, value);
-}
+void set(NumberKey key, double value) { require(key.name, Type::kNumber).value = value; }
+void set(StringKey key, const std::string& value) { require(key.name, Type::kString).value = value; }
 
-void set(StringKey key, const std::string& value) {
-  require(key.name, Type::kString);
-  store().set_string(key.name, value);
+void apply(std::string_view spec) {
+  for (const std::string& item : xbt::split(spec, ',', /*skip_empty=*/true)) {
+    const size_t colon = item.find(':');
+    if (colon == std::string::npos)
+      throw xbt::InvalidArgument("bad config item (want key:value): " + item);
+    const std::string key = xbt::trim(std::string_view(item).substr(0, colon));
+    auto it = registry().find(key);
+    if (it == registry().end())
+      throw_unknown(key);
+    it->second.value = parse(key, it->second, std::string_view(item).substr(colon + 1), nullptr);
+  }
 }
 
 std::vector<KeyInfo> keys() {
   std::vector<KeyInfo> out;
   out.reserve(registry().size());
-  for (const auto& [name, meta] : registry()) {
-    KeyInfo info;
-    info.name = name;
-    info.type = meta.type;
-    info.description = meta.description;
-    info.env = meta.env;
-    out.push_back(std::move(info));
-  }
+  for (const auto& [name, e] : registry())
+    out.push_back(KeyInfo{name, e.type(), e.description, e.env});
   return out;
 }
 

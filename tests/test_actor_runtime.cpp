@@ -15,9 +15,9 @@
 #include "kernel/kernel.hpp"
 #include "platform/builders.hpp"
 #include "platform/platform.hpp"
-#include "xbt/config.hpp"
 #include "xbt/exception.hpp"
 #include "xbt/random.hpp"
+#include "xbt/settings.hpp"
 #include "xbt/str.hpp"
 
 #if defined(__SANITIZE_THREAD__)
@@ -58,14 +58,14 @@ class ActorRuntimeTest : public ::testing::Test {
 protected:
   void SetUp() override {
     declare_context_config();
-    saved_backend_ = sg::xbt::Config::instance().get_string("contexts/backend");
+    saved_backend_ = sg::config::get(kCfgContextBackend);
   }
   void TearDown() override {
-    sg::xbt::Config::instance().set_string("contexts/backend", saved_backend_);
+    sg::config::set(kCfgContextBackend, saved_backend_);
   }
 
   static void use_backend(const std::string& name) {
-    sg::xbt::Config::instance().set_string("contexts/backend", name);
+    sg::config::set(kCfgContextBackend, name);
   }
 
 private:
@@ -89,7 +89,7 @@ struct ScenarioResult {
 /// exception lands in the log, so two backends agree iff they made exactly
 /// the same scheduling decisions and mapped every wake status identically.
 ScenarioResult run_faulty_master_worker(const std::string& backend, unsigned seed) {
-  sg::xbt::Config::instance().set_string("contexts/backend", backend);
+  sg::config::set(kCfgContextBackend, backend);
 
   sg::platform::ClusterSpec spec;
   spec.count = 5;  // node0 = master, nodes 1..4 = workers
@@ -188,7 +188,7 @@ TEST_F(ActorRuntimeTest, ThreadAndFiberBackendsProduceIdenticalSchedules) {
 TEST_F(ActorRuntimeTest, BackendsAgreeOnPureYieldInterleaving) {
   SKIP_IF_FIBER_LANES_UNDER_TSAN();
   auto run_yield_storm = [](const std::string& backend) {
-    sg::xbt::Config::instance().set_string("contexts/backend", backend);
+    sg::config::set(kCfgContextBackend, backend);
     Kernel k(sg::platform::make_dumbbell(1e9, 1e8, 0.0));
     std::vector<std::string> order;
     for (int a = 0; a < 8; ++a)
@@ -292,7 +292,7 @@ TEST_F(ActorRuntimeTest, StringAndIdKeyedSimcallsShareTheMailbox) {
 TEST_F(ActorRuntimeTest, ShardedRunQueuesStayDeterministicAcrossBackends) {
   SKIP_IF_FIBER_LANES_UNDER_TSAN();
   auto run_sharded = [](const std::string& backend) {
-    sg::xbt::Config::instance().set_string("contexts/backend", backend);
+    sg::config::set(kCfgContextBackend, backend);
     Platform p;
     for (int z = 0; z < 3; ++z) {
       sg::platform::ClusterZoneSpec zone;

@@ -4,10 +4,10 @@
 
 #include <cmath>
 
+#include "config_pin.hpp"
 #include "core/engine.hpp"
 #include "platform/builders.hpp"
 #include "trace/trace.hpp"
-#include "xbt/config.hpp"
 #include "xbt/exception.hpp"
 #include "xbt/random.hpp"
 #include "xbt/str.hpp"
@@ -17,20 +17,10 @@ namespace {
 using namespace sg::core;
 using sg::platform::Platform;
 
-/// Pin the model parameters to clean values and restore defaults afterwards.
+/// Pin the model parameters to clean values; the pin restores them afterwards.
 class EngineTest : public ::testing::Test {
 protected:
-  void SetUp() override {
-    declare_engine_config();
-    auto& cfg = sg::xbt::Config::instance();
-    cfg.set("network/bandwidth-factor", 1.0);
-    cfg.set("network/tcp-gamma", 1e18);  // effectively no window cap
-  }
-  void TearDown() override {
-    auto& cfg = sg::xbt::Config::instance();
-    cfg.set("network/bandwidth-factor", 1460.0 / 1500.0);
-    cfg.set("network/tcp-gamma", 65536.0);
-  }
+  sg::test::NetworkPin net_;
 
   /// Run the engine until the given action completes; returns finish time.
   static double run_until_done(Engine& e, const ActionPtr& a) {
@@ -143,8 +133,7 @@ TEST_F(EngineTest, FatpipeDoesNotDivide) {
 }
 
 TEST_F(EngineTest, TcpWindowBoundsLongFatLinks) {
-  auto& cfg = sg::xbt::Config::instance();
-  cfg.set("network/tcp-gamma", 65536.0);
+  sg::config::set(kCfgTcpGamma, 65536.0);
   // WAN link: 50ms one-way latency -> cap = 65536 / 0.1 = 655360 B/s.
   Engine e(sg::platform::make_dumbbell(1e9, 1e8, 0.05));
   auto c = e.comm_start(0, 1, 655360.0);
@@ -189,8 +178,7 @@ TEST_F(EngineTest, MultiHopRouteSharesEveryLink) {
 }
 
 TEST_F(EngineTest, BandwidthFactorApplied) {
-  auto& cfg = sg::xbt::Config::instance();
-  cfg.set("network/bandwidth-factor", 0.5);
+  sg::config::set(kCfgBandwidthFactor, 0.5);
   Engine e(sg::platform::make_dumbbell(1e9, 1e8, 0.0));
   auto c = e.comm_start(0, 1, 1e8);
   EXPECT_NEAR(run_until_done(e, c), 2.0, 1e-9);

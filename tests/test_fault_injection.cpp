@@ -11,10 +11,10 @@
 #include <set>
 #include <vector>
 
+#include "config_pin.hpp"
 #include "core/engine.hpp"
 #include "platform/builders.hpp"
 #include "trace/trace.hpp"
-#include "xbt/config.hpp"
 #include "xbt/random.hpp"
 #include "xbt/str.hpp"
 
@@ -26,17 +26,7 @@ using sg::platform::Platform;
 
 class FaultInjectionTest : public ::testing::Test {
 protected:
-  void SetUp() override {
-    declare_engine_config();
-    auto& cfg = sg::xbt::Config::instance();
-    cfg.set("network/bandwidth-factor", 1.0);
-    cfg.set("network/tcp-gamma", 1e18);
-  }
-  void TearDown() override {
-    auto& cfg = sg::xbt::Config::instance();
-    cfg.set("network/bandwidth-factor", 1460.0 / 1500.0);
-    cfg.set("network/tcp-gamma", 65536.0);
-  }
+  sg::test::NetworkPin net_;
 };
 
 /// What the brute-force reference knows about one running action.

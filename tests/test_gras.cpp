@@ -9,10 +9,10 @@
 #include <atomic>
 #include <cstdint>
 
+#include "config_pin.hpp"
 #include "gras/gras.hpp"
 #include "gras/runtime.hpp"
 #include "platform/builders.hpp"
-#include "xbt/config.hpp"
 #include "xbt/exception.hpp"
 
 namespace {
@@ -23,18 +23,11 @@ using sg::datadesc::datadesc_by_name;
 
 class GrasTest : public ::testing::Test {
 protected:
+  sg::test::NetworkPin net_;
+
   void SetUp() override {
-    sg::core::declare_engine_config();
-    auto& cfg = sg::xbt::Config::instance();
-    cfg.set("network/bandwidth-factor", 1.0);
-    cfg.set("network/tcp-gamma", 1e18);
     msgtype_declare("ping", datadesc_by_name("int"));
     msgtype_declare("pong", datadesc_by_name("int"));
-  }
-  void TearDown() override {
-    auto& cfg = sg::xbt::Config::instance();
-    cfg.set("network/bandwidth-factor", 1460.0 / 1500.0);
-    cfg.set("network/tcp-gamma", 65536.0);
   }
 };
 

@@ -6,6 +6,7 @@
 #include <numeric>
 #include <set>
 
+#include "config_pin.hpp"
 #include "core/engine.hpp"
 #include "gras/gras.hpp"
 #include "msg/msg.hpp"
@@ -17,25 +18,17 @@
 #include "topo/brite.hpp"
 #include "trace/trace.hpp"
 #include "viz/gantt.hpp"
-#include "xbt/config.hpp"
 #include "xbt/exception.hpp"
 
 namespace {
 
 class IntegrationTest : public ::testing::Test {
 protected:
-  void SetUp() override {
-    sg::core::declare_engine_config();
-    auto& cfg = sg::xbt::Config::instance();
-    cfg.set("network/bandwidth-factor", 1.0);
-    cfg.set("network/tcp-gamma", 1e18);
-  }
+  sg::test::NetworkPin net_;
+
   void TearDown() override {
     sg::msg::MSG_clean();
     sg::smpi::bench_reset();
-    auto& cfg = sg::xbt::Config::instance();
-    cfg.set("network/bandwidth-factor", 1460.0 / 1500.0);
-    cfg.set("network/tcp-gamma", 65536.0);
   }
 };
 
@@ -159,10 +152,16 @@ INSTANTIATE_TEST_SUITE_P(RingSizes, MsgPipelineSweep, ::testing::Values(2, 3, 5,
 
 // -- SMPI collectives on varied platform shapes ------------------------------------------
 
+// CTest names each case after the raw bytes of its parameter. Left as padding, the
+// three bytes after `hetero` would be whatever the stack held (part of an address
+// that moves with ASLR), so the names would change from run to run; they are spelled
+// out instead to keep every case's registered name fixed.
 struct CollectiveCase {
   int ranks;
   bool hetero;
+  unsigned char name_bytes[3];
 };
+static_assert(sizeof(CollectiveCase) == 8, "CollectiveCase must have no padding");
 
 class SmpiCollectiveSweep : public IntegrationTest,
                             public ::testing::WithParamInterface<CollectiveCase> {};
@@ -197,9 +196,12 @@ TEST_P(SmpiCollectiveSweep, AllreduceAllgatherAgree) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, SmpiCollectiveSweep,
-                         ::testing::Values(CollectiveCase{2, false}, CollectiveCase{3, true},
-                                           CollectiveCase{4, false}, CollectiveCase{7, true},
-                                           CollectiveCase{8, false}, CollectiveCase{16, true}));
+                         ::testing::Values(CollectiveCase{2, false, {0x00, 0x00, 0x00}},
+                                           CollectiveCase{3, true, {0xFF, 0xFF, 0xFF}},
+                                           CollectiveCase{4, false, {0x00, 0x00, 0x00}},
+                                           CollectiveCase{7, true, {0x00, 0x00, 0x00}},
+                                           CollectiveCase{8, false, {0x00, 0x00, 0x00}},
+                                           CollectiveCase{16, true, {0x56, 0x00, 0x00}}));
 
 // -- GRAS across the stack -------------------------------------------------------------
 
@@ -299,9 +301,8 @@ TEST_F(IntegrationTest, TracedExecutionSurvivesFailuresAndRendersGantt) {
 // -- fluid vs packet consistency through the MSG layer ----------------------------------
 
 TEST_F(IntegrationTest, MsgTransferTimeMatchesEngineAndPacketBallpark) {
-  auto& cfg = sg::xbt::Config::instance();
-  cfg.set("network/bandwidth-factor", 1460.0 / 1500.0);
-  cfg.set("network/tcp-gamma", 65536.0);
+  sg::config::set(sg::core::kCfgBandwidthFactor, 1460.0 / 1500.0);
+  sg::config::set(sg::core::kCfgTcpGamma, 65536.0);
   const double bytes = 4e6;
   const auto platform = sg::platform::make_dumbbell(1e9, 1.25e6, 2e-3);
 

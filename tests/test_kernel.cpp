@@ -6,9 +6,9 @@
 #include <string>
 #include <vector>
 
+#include "config_pin.hpp"
 #include "kernel/kernel.hpp"
 #include "platform/builders.hpp"
-#include "xbt/config.hpp"
 #include "xbt/exception.hpp"
 
 namespace {
@@ -18,17 +18,7 @@ using sg::platform::Platform;
 
 class KernelTest : public ::testing::Test {
 protected:
-  void SetUp() override {
-    sg::core::declare_engine_config();
-    auto& cfg = sg::xbt::Config::instance();
-    cfg.set("network/bandwidth-factor", 1.0);
-    cfg.set("network/tcp-gamma", 1e18);
-  }
-  void TearDown() override {
-    auto& cfg = sg::xbt::Config::instance();
-    cfg.set("network/bandwidth-factor", 1460.0 / 1500.0);
-    cfg.set("network/tcp-gamma", 65536.0);
-  }
+  sg::test::NetworkPin net_;
 
   static Platform two_hosts() { return sg::platform::make_dumbbell(1e9, 1e8, 0.0); }
 };

@@ -21,9 +21,9 @@
 #include "platform/parser.hpp"
 #include "platform/platform.hpp"
 #include "trace/trace.hpp"
-#include "xbt/config.hpp"
 #include "xbt/exception.hpp"
 #include "xbt/random.hpp"
+#include "xbt/settings.hpp"
 #include "xbt/str.hpp"
 
 namespace {

@@ -4,9 +4,9 @@
 
 #include <vector>
 
+#include "config_pin.hpp"
 #include "msg/msg.hpp"
 #include "platform/builders.hpp"
-#include "xbt/config.hpp"
 #include "xbt/exception.hpp"
 
 namespace {
@@ -15,17 +15,10 @@ using namespace sg::msg;
 
 class MsgTest : public ::testing::Test {
 protected:
-  void SetUp() override {
-    sg::core::declare_engine_config();
-    auto& cfg = sg::xbt::Config::instance();
-    cfg.set("network/bandwidth-factor", 1.0);
-    cfg.set("network/tcp-gamma", 1e18);
-  }
+  sg::test::NetworkPin net_;
+
   void TearDown() override {
     MSG_clean();
-    auto& cfg = sg::xbt::Config::instance();
-    cfg.set("network/bandwidth-factor", 1460.0 / 1500.0);
-    cfg.set("network/tcp-gamma", 65536.0);
   }
 };
 

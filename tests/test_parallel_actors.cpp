@@ -19,9 +19,9 @@
 #include "kernel/context.hpp"
 #include "kernel/kernel.hpp"
 #include "platform/platform.hpp"
-#include "xbt/config.hpp"
 #include "xbt/exception.hpp"
 #include "xbt/random.hpp"
+#include "xbt/settings.hpp"
 #include "xbt/str.hpp"
 
 namespace {
@@ -35,12 +35,12 @@ protected:
   void SetUp() override {
     sg::core::declare_engine_config();
     declare_context_config();
-    saved_backend_ = sg::xbt::Config::instance().get_string("contexts/backend");
+    saved_backend_ = sg::config::get(kCfgContextBackend);
     sg::config::set(sg::core::kCfgThreads, 1);
     sg::config::set(sg::core::kCfgParallelActors, false);
   }
   void TearDown() override {
-    sg::xbt::Config::instance().set_string("contexts/backend", saved_backend_);
+    sg::config::set(kCfgContextBackend, saved_backend_);
     sg::config::set(sg::core::kCfgThreads, 1);
     sg::config::set(sg::core::kCfgParallelActors, false);
   }
@@ -305,9 +305,9 @@ TEST_F(ParallelActorsTest, BackendsAgreeUnderParallelLanes) {
   GTEST_SKIP() << "fiber stack switches across worker lanes are invisible to TSan "
                   "(see the SIMGRID_TSAN option: pair TSan with SG_CONTEXTS=thread)";
 #endif
-  sg::xbt::Config::instance().set_string("contexts/backend", "fiber");
+  sg::config::set(kCfgContextBackend, "fiber");
   const SweepResult fiber = run_flapping_master_worker(true, 4, 99u);
-  sg::xbt::Config::instance().set_string("contexts/backend", "thread");
+  sg::config::set(kCfgContextBackend, "thread");
   const SweepResult thread = run_flapping_master_worker(true, 4, 99u);
   EXPECT_EQ(fiber.log, thread.log);
   EXPECT_NEAR(fiber.end_clock, thread.end_clock, 1e-9);

@@ -22,11 +22,11 @@
 #include <string>
 #include <vector>
 
+#include "config_pin.hpp"
 #include "core/engine.hpp"
 #include "kernel/context.hpp"
 #include "platform/platform.hpp"
 #include "trace/trace.hpp"
-#include "xbt/config.hpp"
 #include "xbt/exception.hpp"
 #include "xbt/random.hpp"
 #include "xbt/settings.hpp"
@@ -41,23 +41,17 @@ using sg::platform::SharingPolicy;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+using sg::config::FlagKey;
+using sg::config::IntKey;
+using sg::test::ConfigPin;
+using sg::xbt::InvalidArgument;
+
 class ParallelStepTest : public ::testing::Test {
 protected:
-  void SetUp() override {
-    declare_engine_config();
-    sg::config::set(kCfgBandwidthFactor, 1.0);
-    sg::config::set(kCfgTcpGamma, 1e18);  // effectively no window cap
-    sg::config::set(kCfgSharding, true);
-    sg::config::set(kCfgKillTransitComms, false);
-    sg::config::set(kCfgThreads, 1);
-  }
-  void TearDown() override {
-    sg::config::set(kCfgBandwidthFactor, 1460.0 / 1500.0);
-    sg::config::set(kCfgTcpGamma, 65536.0);
-    sg::config::set(kCfgSharding, true);
-    sg::config::set(kCfgKillTransitComms, false);
-    sg::config::set(kCfgThreads, 1);
-  }
+  sg::test::NetworkPin net_;
+  ConfigPin<FlagKey> sharding_{kCfgSharding, true};
+  ConfigPin<FlagKey> kill_transit_{kCfgKillTransitComms, false};
+  ConfigPin<IntKey> threads_{kCfgThreads, 1};
 };
 
 // ---------------------------------------------------------------------------
@@ -624,9 +618,9 @@ TEST(ConfigRegistryTest, TypeMismatchThrows) {
   // engine/sharding is a flag; reading it through an IntKey is a bug in the
   // caller and must throw, not silently coerce.
   EXPECT_THROW(sg::config::get(sg::config::IntKey{"engine/sharding"}),
-               sg::xbt::InvalidArgument);
+               InvalidArgument);
   EXPECT_THROW(sg::config::get(sg::config::StringKey{"engine/threads"}),
-               sg::xbt::InvalidArgument);
+               InvalidArgument);
 }
 
 TEST(ConfigRegistryTest, UnknownKeyDiagnosticListsValidKeys) {
@@ -644,15 +638,68 @@ TEST(ConfigRegistryTest, UnknownKeyDiagnosticListsValidKeys) {
 
 TEST(ConfigRegistryTest, IntRangeIsEnforced) {
   declare_engine_config();
-  EXPECT_THROW(sg::config::set(kCfgThreads, 0), sg::xbt::InvalidArgument);
-  EXPECT_THROW(sg::config::set(kCfgThreads, 1000), sg::xbt::InvalidArgument);
-  // The raw store (and --cfg passthrough) can hold any double; the typed
-  // getter clamps instead of propagating a nonsense thread count.
-  sg::xbt::Config::instance().set("engine/threads", 1e9);
-  EXPECT_EQ(sg::config::get(kCfgThreads), 256);
-  sg::xbt::Config::instance().set("engine/threads", -3.0);
-  EXPECT_EQ(sg::config::get(kCfgThreads), 1);
-  sg::config::set(kCfgThreads, 1);
+  const ConfigPin<IntKey> pin(kCfgThreads, 2);
+  EXPECT_THROW(sg::config::set(kCfgThreads, 0), InvalidArgument);
+  EXPECT_THROW(sg::config::set(kCfgThreads, 1000), InvalidArgument);
+  // --cfg text is range-checked on write as well: rejected, never clamped.
+  EXPECT_THROW(sg::config::apply("engine/threads:1e9"), InvalidArgument);
+  EXPECT_THROW(sg::config::apply("engine/threads:-3"), InvalidArgument);
+  EXPECT_EQ(sg::config::get(kCfgThreads), 2);
+}
+
+TEST(ConfigRegistryTest, FlagTextAcceptsOnOffWords) {
+  declare_engine_config();
+  const ConfigPin<FlagKey> pin(kCfgSharding, false);
+  sg::config::apply("engine/sharding:on");
+  EXPECT_TRUE(sg::config::get(kCfgSharding));
+  for (const char* off : {"off", "0", "false", "no"}) {
+    sg::config::apply(std::string("engine/sharding:") + off);
+    EXPECT_FALSE(sg::config::get(kCfgSharding)) << off;
+  }
+  for (const char* on : {"1", "true", "yes"}) {
+    sg::config::apply(std::string("engine/sharding:") + on);
+    EXPECT_TRUE(sg::config::get(kCfgSharding)) << on;
+  }
+  EXPECT_THROW(sg::config::apply("engine/sharding:maybe"), InvalidArgument);
+}
+
+TEST(ConfigRegistryTest, MalformedTextThrowsNamingTheKey) {
+  declare_engine_config();
+  const ConfigPin<IntKey> threads(kCfgThreads, 2);
+  const double gamma = sg::config::get(kCfgTcpGamma);
+  for (const char* item : {"engine/threads:abc", "engine/threads:1e9", "engine/threads:0",
+                           "engine/threads:2.5", "engine/threads:4x", "engine/threads:"}) {
+    try {
+      sg::config::apply(item);
+      ADD_FAILURE() << item << " was accepted";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("engine/threads"), std::string::npos) << e.what();
+    }
+  }
+  EXPECT_THROW(sg::config::apply("network/tcp-gamma:12kB"), InvalidArgument);
+  EXPECT_EQ(sg::config::get(kCfgThreads), 2);
+  EXPECT_EQ(sg::config::get(kCfgTcpGamma), gamma);
+}
+
+TEST(ConfigRegistryTest, ParseArgsAppliesAndRemovesCfgItems) {
+  declare_engine_config();
+  const ConfigPin<IntKey> threads(kCfgThreads, 1);
+  const ConfigPin<FlagKey> sharding(kCfgSharding, true);
+  const ConfigPin<sg::config::NumberKey> gamma(kCfgTcpGamma, 65536.0);
+  std::string args[] = {"prog", "8", "--cfg=engine/threads:3",
+                        "--cfg=engine/sharding:off,network/tcp-gamma:1000", "tail"};
+  char* argv[] = {args[0].data(), args[1].data(), args[2].data(), args[3].data(), args[4].data(),
+                  nullptr};
+  int argc = 5;
+  sg::config::parse_args(argc, argv);
+  ASSERT_EQ(argc, 3);
+  EXPECT_STREQ(argv[0], "prog");
+  EXPECT_STREQ(argv[1], "8");
+  EXPECT_STREQ(argv[2], "tail");
+  EXPECT_EQ(argv[3], nullptr);
+  EXPECT_EQ(sg::config::get(kCfgThreads), 3);
+  EXPECT_FALSE(sg::config::get(kCfgSharding));
+  EXPECT_EQ(sg::config::get(kCfgTcpGamma), 1000.0);
 }
 
 TEST(ConfigRegistryTest, KeysEnumerationDocumentsEnvSeeds) {
@@ -677,16 +724,14 @@ TEST(ConfigRegistryTest, KeysEnumerationDocumentsEnvSeeds) {
 }
 
 TEST(ConfigRegistryTest, RawStringKeyedAccessKeepsWorking) {
-  // The registry is a typed façade over xbt::Config: raw set/get on the same
-  // storage must stay coherent with the typed accessors (existing call
-  // sites and the --cfg command-line path use the raw store).
+  // String-keyed text (apply() and the --cfg command line) writes the same
+  // typed store the key handles read, and typed writes are what it sees.
   declare_engine_config();
-  auto& cfg = sg::xbt::Config::instance();
-  cfg.set("engine/threads", 2.0);
+  const ConfigPin<IntKey> pin(kCfgThreads, 1);
+  sg::config::apply("engine/threads:2");
   EXPECT_EQ(sg::config::get(kCfgThreads), 2);
-  sg::config::set(kCfgThreads, 3);
-  EXPECT_DOUBLE_EQ(cfg.get("engine/threads"), 3.0);
-  sg::config::set(kCfgThreads, 1);
+  sg::config::apply(" engine/threads : 3 ");  // items are trimmed
+  EXPECT_EQ(sg::config::get(kCfgThreads), 3);
 }
 
 }  // namespace

@@ -4,11 +4,11 @@
 
 #include <cmath>
 
+#include "config_pin.hpp"
 #include "core/engine.hpp"
 #include "pkt/pkt.hpp"
 #include "platform/builders.hpp"
 #include "topo/brite.hpp"
-#include "xbt/config.hpp"
 #include "xbt/exception.hpp"
 
 namespace {
@@ -18,12 +18,7 @@ using sg::platform::Platform;
 
 class PktTest : public ::testing::Test {
 protected:
-  void SetUp() override {
-    sg::core::declare_engine_config();
-    auto& cfg = sg::xbt::Config::instance();
-    cfg.set("network/bandwidth-factor", 1460.0 / 1500.0);
-    cfg.set("network/tcp-gamma", 65536.0);
-  }
+  sg::test::NetworkPin net_{1460.0 / 1500.0, 65536.0};
 };
 
 TEST_F(PktTest, SingleFlowSaturatesLink) {

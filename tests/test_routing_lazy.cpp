@@ -10,9 +10,9 @@
 #include <queue>
 #include <vector>
 
+#include "config_pin.hpp"
 #include "platform/platform.hpp"
 #include "topo/brite.hpp"
-#include "xbt/config.hpp"
 #include "xbt/exception.hpp"
 #include "xbt/random.hpp"
 
@@ -301,12 +301,12 @@ Platform star_platform(int n_hosts) {
 }  // namespace
 
 TEST(LazyRouting, SsspCacheCapacityIsConfigurable) {
-  auto& cfg = sg::xbt::Config::instance();
-  cfg.declare("routing/sssp-cache", 64.0);
-  cfg.set("routing/sssp-cache", 4.0);
+  sg::platform::declare_platform_config();
   Platform p = star_platform(32);  // hosts/16 = 2 < configured 4
-  p.seal();
-  cfg.set("routing/sssp-cache", 64.0);  // restore the global default
+  {
+    const sg::test::ConfigPin<sg::config::IntKey> cache(sg::platform::kCfgSsspCache, 4);
+    p.seal();
+  }
   EXPECT_EQ(p.sssp_cache_capacity(), 4u);
   for (int s = 0; s < 12; ++s)
     (void)p.route(s, (s + 1) % 32);

@@ -10,9 +10,9 @@
 #include <cmath>
 #include <vector>
 
+#include "config_pin.hpp"
 #include "core/engine.hpp"
 #include "platform/platform.hpp"
-#include "xbt/config.hpp"
 #include "xbt/exception.hpp"
 #include "xbt/random.hpp"
 #include "xbt/str.hpp"
@@ -418,24 +418,12 @@ TEST(ShardedEquivalence, ChangedVariablesCoverEveryMovedAllocation) {
 // Engine level
 // ---------------------------------------------------------------------------
 
-/// Pin the model parameters to clean values and restore defaults afterwards.
+/// Pin the model parameters to clean values; the pin restores them afterwards.
 class ShardedEngineTest : public ::testing::Test {
 protected:
-  void SetUp() override {
-    declare_engine_config();
-    auto& cfg = sg::xbt::Config::instance();
-    cfg.set("network/bandwidth-factor", 1.0);
-    cfg.set("network/tcp-gamma", 1e18);  // effectively no window cap
-    cfg.set("engine/sharding", 1.0);
-    cfg.set("engine/kill-transit-comms", 0.0);
-  }
-  void TearDown() override {
-    auto& cfg = sg::xbt::Config::instance();
-    cfg.set("network/bandwidth-factor", 1460.0 / 1500.0);
-    cfg.set("network/tcp-gamma", 65536.0);
-    cfg.set("engine/sharding", 1.0);
-    cfg.set("engine/kill-transit-comms", 0.0);
-  }
+  sg::test::NetworkPin net_;
+  sg::test::ConfigPin<sg::config::FlagKey> sharding_{kCfgSharding, true};
+  sg::test::ConfigPin<sg::config::FlagKey> kill_transit_{kCfgKillTransitComms, false};
 };
 
 // Two 4-host cluster zones behind a WAN fatpipe, plus one unzoned host on a
@@ -551,10 +539,9 @@ TEST_F(ShardedEngineTest, ShardedEngineMatchesGlobalEngineUnderChurnAndFaults) {
     return p;
   };
 
-  auto& cfg = sg::xbt::Config::instance();
-  cfg.set("engine/sharding", 1.0);
+  sg::config::set(kCfgSharding, true);
   Engine sharded(build());
-  cfg.set("engine/sharding", 0.0);
+  sg::config::set(kCfgSharding, false);
   Engine global(build());
   ASSERT_EQ(sharded.shard_count(), kZones + 1);
   ASSERT_EQ(global.shard_count(), 1);
@@ -733,7 +720,7 @@ TEST_F(ShardedEngineTest, TransitCommSurvivesEndpointDeathByDefault) {
 }
 
 TEST_F(ShardedEngineTest, KillTransitCommsFailsCommsOfDeadEndpoints) {
-  sg::xbt::Config::instance().set("engine/kill-transit-comms", 1.0);
+  sg::config::set(kCfgKillTransitComms, true);
   Engine e(make_star3());
   auto out = e.comm_start(0, 1, 1e8);       // dead host is the source
   auto in = e.comm_start(2, 0, 1e8);        // dead host is the destination
@@ -757,7 +744,7 @@ TEST_F(ShardedEngineTest, KillTransitCommsFailsCommsOfDeadEndpoints) {
 }
 
 TEST_F(ShardedEngineTest, KillTransitLoopbackCommFailsExactlyOnce) {
-  sg::xbt::Config::instance().set("engine/kill-transit-comms", 1.0);
+  sg::config::set(kCfgKillTransitComms, true);
   Engine e(make_star3());
   auto loop = e.comm_start(0, 0, 1e8);  // loopback: registered once, also on
   e.run_until(0.0);                          // the loopback constraint
@@ -772,7 +759,7 @@ TEST_F(ShardedEngineTest, KillTransitLoopbackCommFailsExactlyOnce) {
 }
 
 TEST_F(ShardedEngineTest, KillTransitCompletedCommLeavesNoStaleIndexEntry) {
-  sg::xbt::Config::instance().set("engine/kill-transit-comms", 1.0);
+  sg::config::set(kCfgKillTransitComms, true);
   Engine e(make_star3());
   auto first = e.comm_start(0, 1, 1e6);
   while (first->state() == ActionState::kRunning)
@@ -788,7 +775,7 @@ TEST_F(ShardedEngineTest, KillTransitCompletedCommLeavesNoStaleIndexEntry) {
 }
 
 TEST_F(ShardedEngineTest, KillTransitSuspendedCommFailsToo) {
-  sg::xbt::Config::instance().set("engine/kill-transit-comms", 1.0);
+  sg::config::set(kCfgKillTransitComms, true);
   Engine e(make_star3());
   auto comm = e.comm_start(0, 1, 1e8);
   e.run_until(0.0);
@@ -804,7 +791,7 @@ TEST_F(ShardedEngineTest, KillTransitSuspendedCommFailsToo) {
 // This pins both orders on a host carrying one activity of every flavour —
 // CPU, loopback, sleep, intra-zone and cross-zone (backbone-shard) comms.
 TEST_F(ShardedEngineTest, LeaveHostDeliversInDiscoveryOrderWithInlineObservers) {
-  sg::xbt::Config::instance().set("engine/kill-transit-comms", 1.0);
+  sg::config::set(kCfgKillTransitComms, true);
   Engine e(make_two_zone_platform());
   const int h = 0, intra_peer = 1, cross_peer = 4;
   ASSERT_EQ(e.shard_of_host(h), e.shard_of_host(intra_peer));
@@ -848,7 +835,7 @@ TEST_F(ShardedEngineTest, LeaveHostDeliversInDiscoveryOrderWithInlineObservers) 
 // the sweep finishes it at once, and the cancellation is delivered BEFORE
 // the failures the sweep is still collecting.
 TEST_F(ShardedEngineTest, CancelFromObserverIsDeliveredBeforeTheSweepsFailures) {
-  sg::xbt::Config::instance().set("engine/kill-transit-comms", 1.0);
+  sg::config::set(kCfgKillTransitComms, true);
   Engine e(make_two_zone_platform());
   auto exec = e.exec_start(0, 1e12, 1.0, "exec0");
   auto nap = e.sleep_start(0, 100.0, "nap0");

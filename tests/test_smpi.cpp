@@ -5,10 +5,10 @@
 
 #include <numeric>
 
+#include "config_pin.hpp"
 #include "core/engine.hpp"
 #include "platform/builders.hpp"
 #include "smpi/smpi.hpp"
-#include "xbt/config.hpp"
 #include "xbt/exception.hpp"
 
 namespace {
@@ -17,17 +17,10 @@ using namespace sg::smpi;
 
 class SmpiTest : public ::testing::Test {
 protected:
-  void SetUp() override {
-    sg::core::declare_engine_config();
-    auto& cfg = sg::xbt::Config::instance();
-    cfg.set("network/bandwidth-factor", 1.0);
-    cfg.set("network/tcp-gamma", 1e18);
-  }
+  sg::test::NetworkPin net_;
+
   void TearDown() override {
     bench_reset();
-    auto& cfg = sg::xbt::Config::instance();
-    cfg.set("network/bandwidth-factor", 1460.0 / 1500.0);
-    cfg.set("network/tcp-gamma", 65536.0);
   }
 
   static sg::platform::Platform cluster(int n, double speed = 1e9) {

@@ -1,11 +1,11 @@
 /// Tests for the Grid Application Toolbox (monitoring + discovery on GRAS).
 #include <gtest/gtest.h>
 
+#include "config_pin.hpp"
 #include "core/engine.hpp"
 #include "platform/builders.hpp"
 #include "toolbox/toolbox.hpp"
 #include "trace/trace.hpp"
-#include "xbt/config.hpp"
 
 namespace {
 
@@ -13,17 +13,7 @@ using namespace sg::toolbox;
 
 class ToolboxTest : public ::testing::Test {
 protected:
-  void SetUp() override {
-    sg::core::declare_engine_config();
-    auto& cfg = sg::xbt::Config::instance();
-    cfg.set("network/bandwidth-factor", 1.0);
-    cfg.set("network/tcp-gamma", 1e18);
-  }
-  void TearDown() override {
-    auto& cfg = sg::xbt::Config::instance();
-    cfg.set("network/bandwidth-factor", 1460.0 / 1500.0);
-    cfg.set("network/tcp-gamma", 65536.0);
-  }
+  sg::test::NetworkPin net_;
 };
 
 TEST_F(ToolboxTest, CpuMonitorTracksAvailabilityTrace) {

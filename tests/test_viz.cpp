@@ -1,11 +1,11 @@
 /// Tests for the execution tracer and Gantt rendering.
 #include <gtest/gtest.h>
 
+#include "config_pin.hpp"
 #include "core/engine.hpp"
 #include "msg/msg.hpp"
 #include "platform/builders.hpp"
 #include "viz/gantt.hpp"
-#include "xbt/config.hpp"
 
 namespace {
 
@@ -13,17 +13,10 @@ using namespace sg::viz;
 
 class VizTest : public ::testing::Test {
 protected:
-  void SetUp() override {
-    sg::core::declare_engine_config();
-    auto& cfg = sg::xbt::Config::instance();
-    cfg.set("network/bandwidth-factor", 1.0);
-    cfg.set("network/tcp-gamma", 1e18);
-  }
+  sg::test::NetworkPin net_;
+
   void TearDown() override {
     sg::msg::MSG_clean();
-    auto& cfg = sg::xbt::Config::instance();
-    cfg.set("network/bandwidth-factor", 1460.0 / 1500.0);
-    cfg.set("network/tcp-gamma", 65536.0);
   }
 };
 

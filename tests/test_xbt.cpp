@@ -3,12 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <set>
 
-#include "xbt/config.hpp"
 #include "xbt/exception.hpp"
 #include "xbt/log.hpp"
 #include "xbt/random.hpp"
+#include "xbt/settings.hpp"
 #include "xbt/str.hpp"
 #include "xbt/units.hpp"
 
@@ -183,29 +184,49 @@ TEST(Units, Size) {
 // -- config -----------------------------------------------------------------------
 
 TEST(Config, DeclareGetSet) {
-  Config cfg;
-  cfg.declare("x/y", 3.5, "test key");
-  EXPECT_DOUBLE_EQ(cfg.get("x/y"), 3.5);
-  cfg.set("x/y", 4.0);
-  EXPECT_DOUBLE_EQ(cfg.get("x/y"), 4.0);
-  cfg.declare("x/y", 99.0);  // re-declare keeps current value
-  EXPECT_DOUBLE_EQ(cfg.get("x/y"), 4.0);
+  const sg::config::NumberKey key{"test/x-y"};
+  sg::config::declare(key, 3.5, "test key");
+  EXPECT_DOUBLE_EQ(sg::config::get(key), 3.5);
+  sg::config::set(key, 4.0);
+  EXPECT_DOUBLE_EQ(sg::config::get(key), 4.0);
+  sg::config::declare(key, 99.0, "test key");  // re-declare keeps current value
+  EXPECT_DOUBLE_EQ(sg::config::get(key), 4.0);
 }
 
 TEST(Config, UnknownKeyThrows) {
-  Config cfg;
-  EXPECT_THROW(cfg.get("nope"), InvalidArgument);
-  EXPECT_THROW(cfg.set("nope", 1.0), InvalidArgument);
+  EXPECT_THROW(sg::config::get(sg::config::NumberKey{"test/nope"}), InvalidArgument);
+  EXPECT_THROW(sg::config::set(sg::config::NumberKey{"test/nope"}, 1.0), InvalidArgument);
+  EXPECT_THROW(sg::config::apply("test/nope:1"), InvalidArgument);
 }
 
 TEST(Config, StringsAndApply) {
-  Config cfg;
-  cfg.declare("a", 1.0);
-  cfg.declare_string("mode", "fluid");
-  cfg.apply("a:2.5,mode:packet");
-  EXPECT_DOUBLE_EQ(cfg.get("a"), 2.5);
-  EXPECT_EQ(cfg.get_string("mode"), "packet");
-  EXPECT_THROW(cfg.apply("bogus"), InvalidArgument);
+  const sg::config::NumberKey a{"test/a"};
+  const sg::config::StringKey mode{"test/mode"};
+  sg::config::declare(a, 1.0, "test number");
+  sg::config::declare(mode, "fluid", "test string");
+  sg::config::apply("test/a:2.5, test/mode: packet ");
+  EXPECT_DOUBLE_EQ(sg::config::get(a), 2.5);
+  EXPECT_EQ(sg::config::get(mode), "packet");  // values are trimmed
+  EXPECT_THROW(sg::config::apply("bogus"), InvalidArgument);
+  EXPECT_THROW(sg::config::apply("test/a:2.5x"), InvalidArgument);
+}
+
+TEST(Config, EnvSeedGoesThroughTheTypedParser) {
+  ::setenv("SG_TEST_CFG_FLAG", "on", 1);
+  sg::config::declare(sg::config::FlagKey{"test/env-flag"}, false, "test flag", "SG_TEST_CFG_FLAG");
+  ::unsetenv("SG_TEST_CFG_FLAG");
+  EXPECT_TRUE(sg::config::get(sg::config::FlagKey{"test/env-flag"}));
+
+  ::setenv("SG_TEST_CFG_BAD", "sometimes", 1);
+  try {
+    sg::config::declare(sg::config::FlagKey{"test/env-bad"}, false, "test flag", "SG_TEST_CFG_BAD");
+    ADD_FAILURE() << "malformed env seed was accepted";
+  } catch (const InvalidArgument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("test/env-bad"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("SG_TEST_CFG_BAD"), std::string::npos) << msg;
+  }
+  ::unsetenv("SG_TEST_CFG_BAD");
 }
 
 }  // namespace
