@@ -411,7 +411,7 @@ int main(int argc, char** argv) {
   for (int zones : {1, 4, 16}) {
     const int pairs_per_zone = 2000;
     const int n_events = 10000;
-    double wall = 1e30, eps = 0, bps = 0;
+    double wall = 1e30, eps = 0;
     for (int rep = 0; rep < 5; ++rep) {
       double rep_eps = 0, rep_bps = 0;
       const double rep_wall = run_sharded_churn(zones, pairs_per_zone, n_events, &rep_eps, &rep_bps,
@@ -419,7 +419,6 @@ int main(int argc, char** argv) {
       if (rep_wall < wall) {
         wall = rep_wall;
         eps = rep_eps;
-        bps = rep_bps;
       }
     }
     if (zones == 1)
@@ -437,14 +436,13 @@ int main(int argc, char** argv) {
   for (int zones : {4, 16}) {
     const int pairs_per_zone = 2000;
     const int n_events = 10000;
-    double wall = 1e30, eps = 0, bps = 0;
+    double wall = 1e30, eps = 0;
     for (int rep = 0; rep < 3; ++rep) {
       double rep_eps = 0, rep_bps = 0;
       const double rep_wall = run_sharded_churn(zones, pairs_per_zone, n_events, &rep_eps, &rep_bps);
       if (rep_wall < wall) {
         wall = rep_wall;
         eps = rep_eps;
-        bps = rep_bps;
       }
     }
     std::printf("%8d %12d %12d %18.0f %12.3f\n", zones, zones * pairs_per_zone, n_events, eps,

@@ -46,37 +46,42 @@ using CommPtr = std::shared_ptr<Comm>;
 
 class Kernel;
 
-/// A simcall recorded during a scheduling phase and committed by the maestro
-/// in the serial epilogue (the deferred-simcall half of the lists-local rule;
-/// see the execution-model notes in kernel.hpp). The record itself lives in
-/// the simcall wrapper's stack frame: the actor parks right after filling it
-/// in, so the frame — including any pointed-to arguments — stays stable until
-/// the commit, and result fields written by the commit are read back by the
-/// wrapper when the actor next runs.
+/// A simcall recorded by an actor's quantum and committed by the maestro in
+/// the serial epilogue (see the execution-model notes in kernel.hpp). The
+/// record itself lives in the simcall wrapper's stack frame: the actor parks
+/// right after filling it in, so the frame — including any pointed-to
+/// arguments — stays stable until the commit, and result fields written by
+/// the commit are read back by the wrapper when the actor next runs.
 struct PendingSimcall {
+  /// The kinds up to kSuspendSelf leave the actor parked after their commit
+  /// (until a wake, a resume, or — for kYield — the next round); the others
+  /// let it go on at once (see resumes_after).
   enum class Kind : std::uint8_t {
     kNone,
     kYield,          ///< yield_now / sleep_for(<=0): requeue for the next round
-    kExec,           ///< execute(flops, priority); blocks
-    kPtask,          ///< execute_parallel(hosts, flops, bytes); blocks
-    kSleep,          ///< sleep_for(duration > 0); blocks
+    kExec,           ///< execute(flops, priority)
+    kPtask,          ///< execute_parallel(hosts, flops, bytes)
+    kSleep,          ///< sleep_for(duration > 0)
     kSendWait,       ///< blocking send: async enqueue/match fused with the wait
     kRecvWait,       ///< blocking recv, same fusion
-    kCommWait,       ///< comm_wait(comm, timeout) on an existing comm; blocks
-    kSendAsync,      ///< cross-shard send_async / send_detached; resumes after
-    kRecvAsync,      ///< cross-shard recv_async; resumes after
-    kCommTest,       ///< comm_test(comm); resumes after
-    kCommProbe,      ///< comm_waiting on a non-home mailbox; resumes after
-    kInternMailbox,  ///< mailbox_by_name first use; resumes after
-    kSpawn,          ///< spawn(...); resumes after
-    kKill,           ///< kill(other); resumes after
-    kSuspendSelf,    ///< suspend(self): parks until resumed by someone
-    kSuspendOther,   ///< suspend(other); resumes after
-    kResume,         ///< resume(other); resumes after
-    kHostState,      ///< host_off / host_on; resumes after
-    kLeaveHost,      ///< leave_host(host); resumes after
-    kRejoinHost,     ///< rejoin_host(host); resumes after
+    kCommWait,       ///< comm_wait(comm, timeout) on an existing comm
+    kSuspendSelf,    ///< suspend(self): parked until resumed by someone
+    kSendAsync,      ///< cross-shard send_async / send_detached
+    kRecvAsync,      ///< cross-shard recv_async
+    kCommTest,       ///< comm_test(comm) on a cross-shard comm
+    kCommProbe,      ///< comm_waiting on a non-home mailbox
+    kInternMailbox,  ///< mailbox_by_name first use
+    kSpawn,          ///< spawn(...)
+    kKill,           ///< kill(other)
+    kSuspendOther,   ///< suspend(other)
+    kResume,         ///< resume(other)
+    kHostState,      ///< host_off / host_on
+    kLeaveHost,      ///< leave_host(host)
+    kRejoinHost,     ///< rejoin_host(host)
   };
+
+  /// True when the commit lets the actor go on right away.
+  static bool resumes_after(Kind k) { return k > Kind::kSuspendSelf; }
 
   Kind kind = Kind::kNone;
 
@@ -167,18 +172,12 @@ private:
   core::ActionPtr blocked_action_;
   CommPtr blocked_comm_;
 
-  /// Simcall recorded in the current scheduling phase, awaiting its serial
-  /// commit; points into the parked wrapper's frame (see PendingSimcall).
+  /// Simcall recorded by the current quantum, awaiting its serial commit;
+  /// points into the parked wrapper's frame (see PendingSimcall).
   PendingSimcall* pending_ = nullptr;
 
-  /// True while the actor's quantum runs inside a scheduling phase. Carried
-  /// on the actor — not in a thread-local — because thread-backend bodies
-  /// execute on their own OS thread, not on the resuming lane. Set by the
-  /// lane right before the resume and cleared right after it; the context
-  /// switch handshake orders both against the body.
-  bool phase_quantum_ = false;
-  /// Comms this quantum matched inline on its home mailboxes, pending their
-  /// serial engine start (valid only while phase_quantum_ is set).
+  /// Comms the running quantum matched on its home mailboxes, pending their
+  /// serial engine start (set by Kernel::run_quantum for the quantum only).
   std::vector<CommPtr>* phase_starts_ = nullptr;
 
   std::vector<std::function<void(bool)>> exit_callbacks_;

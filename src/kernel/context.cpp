@@ -343,9 +343,11 @@ public:
       return true;
     if (!started_)
       start();
-    // The resumer's ASan fake stack parks in *this* context (not a global):
-    // resumes nest — an actor killing another unwinds the victim from inside
-    // its own quantum — and each nesting level must keep its own slot.
+    // The resumer's ASan fake stack parks in *this* context (not a global).
+    // The kernel resumes quanta from the maestro or a lane only, but a
+    // resume can still nest — a killed actor whose cleanup kills another
+    // actor unwinds that one from inside its own unwind — and each nesting
+    // level must keep its own slot.
     asan_start_switch(&resumer_fake_stack_, stack_, pool_->usable_bytes());
     swap_to_fiber();
     asan_finish_switch(resumer_fake_stack_, nullptr, nullptr);

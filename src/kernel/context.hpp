@@ -107,6 +107,7 @@ public:
   /// Maestro side: request the actor to die at its next wakeup. Call
   /// resume_and_wait() afterwards to actually unwind it.
   void request_kill() { kill_requested_ = true; }
+  bool kill_requested() const { return kill_requested_; }
 
   bool finished() const { return finished_; }
 

@@ -18,15 +18,13 @@ namespace sg::kernel {
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// The actor currently executing and its kernel, per OS thread: during a
-// parallel scheduling phase every lane has its own current actor. Under the
-// thread context backend the semaphore handoff publishes the resumer's write
-// to the actor's thread (release before acquire), so the actor-side reads in
-// self()/current() go through the *resuming lane's* slot — resume_context
-// and run_shard_batch set these on the resuming thread, and ThreadContext
-// bodies read them via the kernel passing through the resume (see
-// resume_context). g_active_kernel stays a plain global: it is only written
-// from kernel construction/destruction (serial by definition).
+// The actor whose quantum is running and its kernel, per OS thread: during
+// a parallel scheduling phase every lane has its own current actor.
+// run_quantum sets these on the resuming thread, which is where fiber bodies
+// run; thread-backend bodies run on their own OS thread and publish the same
+// values there once, when the body starts (see spawn). g_active_kernel stays
+// a plain global: it is only written from kernel construction/destruction
+// (serial by definition).
 thread_local Actor* g_current_actor = nullptr;
 thread_local Kernel* g_current_kernel = nullptr;
 Kernel* g_active_kernel = nullptr;
@@ -257,7 +255,7 @@ Kernel* Kernel::current() { return g_current_kernel != nullptr ? g_current_kerne
 
 ActorId Kernel::spawn(const std::string& name, int host, std::function<void()> body, bool daemon,
                       bool auto_restart) {
-  if (Actor* a = self(); a != nullptr && a->phase_quantum_) {
+  if (Actor* a = self()) {
     // Spawning touches the slot arena, the id map and (via schedule) a ready
     // queue that may belong to another lane — serial work, all of it.
     PendingSimcall rec;
@@ -268,8 +266,6 @@ ActorId Kernel::spawn(const std::string& name, int host, std::function<void()> b
     rec.spawn_daemon = daemon;
     rec.spawn_auto_restart = auto_restart;
     record_and_park(a, rec);
-    if (rec.error)
-      std::rethrow_exception(rec.error);
     return rec.spawned;
   }
   if (host < 0 || static_cast<size_t>(host) >= engine_.platform().host_count())
@@ -286,9 +282,9 @@ ActorId Kernel::spawn(const std::string& name, int host, std::function<void()> b
   a->shard_ = shard_for_host(host);
   a->context_ = context_factory_->create([this, a] {
     // Publish identity in the *body's* thread-local slots: thread-backend
-    // actors run on their own OS thread, which resume_context (running on
-    // the resuming lane) cannot reach. Fibers run on the resuming thread,
-    // where resume_context already published the same values.
+    // actors run on their own OS thread, which run_quantum (running on the
+    // resuming lane) cannot reach. Fibers run on the resuming thread, where
+    // run_quantum already published the same values.
     g_current_actor = a;
     g_current_kernel = this;
     a->body_();
@@ -319,10 +315,6 @@ size_t Kernel::total_ready() const {
   return n;
 }
 
-bool Kernel::in_scheduling_phase() {
-  return g_current_actor != nullptr && g_current_actor->phase_quantum_;
-}
-
 void Kernel::wake(Actor* a, WakeStatus status) {
   if (a->state_ != Actor::State::kBlocked)
     return;
@@ -347,29 +339,6 @@ Kernel::Stats Kernel::stats() const {
     out.context_switches += lane.context_switches;
   }
   return out;
-}
-
-WakeStatus Kernel::block_self(Actor* a, double timeout) {
-  a->state_ = Actor::State::kBlocked;
-  if (timeout >= 0)
-    timers_.push(Timer{engine_.now() + timeout, a->id_, a->timer_gen_});
-  a->context_->yield();
-  return a->wake_status_;
-}
-
-void Kernel::resume_context(Actor* a) {
-  // Re-entrant: an actor killing another resumes the victim from inside its
-  // own quantum, so save/restore rather than set/clear.
-  Actor* const prev_actor = g_current_actor;
-  Kernel* const prev_kernel = g_current_kernel;
-  g_current_actor = a;
-  g_current_kernel = this;
-  ++lane_counters_[static_cast<size_t>(context_lane())].context_switches;
-  const bool finished = a->context_->resume_and_wait();
-  g_current_actor = prev_actor;
-  g_current_kernel = prev_kernel;
-  if (finished)
-    handle_actor_end(a);  // may reap `a` — do not touch it afterwards
 }
 
 void Kernel::handle_actor_end(Actor* a) {
@@ -525,38 +494,46 @@ void Kernel::run_shard_batch(int shard, int lanes) {
     RanActor r;
     r.actor = a;
     r.id = a->id_;
-    a->pending_ = nullptr;
-    a->phase_quantum_ = true;
-    a->phase_starts_ = &r.started;
-    // Resume on this lane. Not resume_context(): a body that finishes here
-    // must have its end handled by the epilogue, not the lane.
-    Actor* const prev_actor = g_current_actor;
-    Kernel* const prev_kernel = g_current_kernel;
-    g_current_actor = a;
-    g_current_kernel = this;
-    ++lane_counters_[static_cast<size_t>(context_lane())].context_switches;
-    r.finished = a->context_->resume_and_wait();
-    g_current_actor = prev_actor;
-    g_current_kernel = prev_kernel;
-    a->phase_quantum_ = false;
-    a->phase_starts_ = nullptr;  // r.started moves below; never read parked
-    r.rec = r.finished ? nullptr : a->pending_;
-    assert((r.finished || r.rec != nullptr) && "a quantum must end in a simcall or termination");
+    run_quantum(a, r);
     ran.push_back(std::move(r));
   }
 }
 
-void Kernel::record_and_park(Actor* a, PendingSimcall& rec) {
-  a->pending_ = &rec;
-  a->state_ = Actor::State::kBlocked;
-  a->context_->yield();
-  // Woken by the epilogue: the record was committed (results valid), or the
-  // actor was resumed with a wake status after blocking.
+void Kernel::run_quantum(Actor* a, RanActor& r) {
+  a->pending_ = nullptr;
+  a->phase_starts_ = &r.started;
+  Actor* const prev_actor = g_current_actor;
+  Kernel* const prev_kernel = g_current_kernel;
+  g_current_actor = a;
+  g_current_kernel = this;
+  ++lane_counters_[static_cast<size_t>(context_lane())].context_switches;
+  r.finished = a->context_->resume_and_wait();
+  g_current_actor = prev_actor;
+  g_current_kernel = prev_kernel;
+  a->phase_starts_ = nullptr;  // r.started may move; never read while parked
+  r.rec = r.finished ? nullptr : a->pending_;
+  assert((r.finished || r.rec != nullptr) && "a quantum must end in a simcall or termination");
 }
 
-void Kernel::serial_resume(Actor* a) {
-  a->state_ = Actor::State::kReady;
-  resume_context(a);
+void Kernel::record_and_park(Actor* a, PendingSimcall& rec) {
+  if (a->context_->kill_requested()) {
+    // Unwinding after a kill: kill_internal drives this body serially, and
+    // nothing will resume it once it parks. A simcall that would wait raises
+    // ForcedExit; any other commits right here, as the maestro would.
+    if (!PendingSimcall::resumes_after(rec.kind))
+      throw ForcedExit{};
+    g_current_actor = nullptr;
+    commit_record(a, rec);
+    g_current_actor = a;
+  } else {
+    a->pending_ = &rec;
+    a->state_ = Actor::State::kBlocked;
+    a->context_->yield();
+    // Resumed: the record was committed (results valid), or the actor was
+    // woken with a status after blocking.
+  }
+  if (rec.error)
+    std::rethrow_exception(rec.error);
 }
 
 void Kernel::arm_timeout(Actor* a, double timeout) {
@@ -566,8 +543,8 @@ void Kernel::arm_timeout(Actor* a, double timeout) {
 
 void Kernel::commit_comm_wait(Actor* a, PendingSimcall& rec, const CommPtr& comm) {
   if (comm->state == Comm::State::kFinished) {
-    // Already resolved: requeue the actor with the comm's outcome. (Both
-    // modes take this same path, so the schedules agree by construction.)
+    // Already resolved: requeue the actor with the comm's outcome, from a
+    // continuation quantum as from any other.
     wake(a, comm->result);
     return;
   }
@@ -579,177 +556,148 @@ void Kernel::commit_comm_wait(Actor* a, PendingSimcall& rec, const CommPtr& comm
   arm_timeout(a, rec.timeout);
 }
 
+void Kernel::start_matched(RanActor& r) {
+  // A comm detached (finished) by a kill since its match is skipped.
+  for (CommPtr& c : r.started)
+    if (c->state == Comm::State::kMatched)
+      start_comm(c);
+  r.started.clear();
+}
+
 void Kernel::commit_ran(RanActor& r) {
   if (r.zombie) {
     reap_actor(r.actor);
     return;
   }
-  Actor* a = r.actor;
-  // Replay the quantum's inline-matched comm starts first: in program order
-  // they happened before whatever the actor last recorded — and they must
-  // replay even if the actor was killed meanwhile, or the matched peer would
-  // be stranded on a comm that never starts. A comm detached (finished) by
-  // such a kill is skipped via the state guard.
-  for (CommPtr& c : r.started)
-    if (c->state == Comm::State::kMatched)
-      start_comm(c);
-  r.started.clear();
-
-  // Identity guard: an earlier commit in this same epilogue may have killed
-  // the actor — and its slot may already host a respawned successor.
-  auto it = id_to_slot_.find(r.id);
-  if (it == id_to_slot_.end() || slot(it->second) != a)
-    return;
-
-  if (r.finished) {
-    if (a->alive())
-      handle_actor_end(a);
-    return;
+  Actor* const a = r.actor;
+  // Identity guard: an earlier commit in this epilogue — or this actor's own
+  // kill commit, through exit callbacks — may have killed the actor, and its
+  // slot may already host a respawned successor.
+  auto same_actor = [&] {
+    auto it = id_to_slot_.find(r.id);
+    return it != id_to_slot_.end() && slot(it->second) == a;
+  };
+  // A loop, not recursion: a long chain of non-blocking simcalls must not
+  // grow the maestro's stack.
+  while (true) {
+    // Replay the quantum's home-mailbox comm starts first: in program order
+    // they happened before whatever the actor last recorded — and they must
+    // replay even if the actor was killed meanwhile, or the matched peer
+    // would be stranded on a comm that never starts.
+    start_matched(r);
+    if (!same_actor())
+      return;
+    if (r.finished) {
+      if (a->alive())
+        handle_actor_end(a);
+      return;
+    }
+    if (!a->alive() || a->pending_ != r.rec)
+      return;  // killed while parked earlier in this epilogue; already unwound
+    const PendingSimcall::Kind kind = r.rec->kind;
+    a->pending_ = nullptr;
+    commit_record(a, *r.rec);
+    if (!PendingSimcall::resumes_after(kind) || !same_actor() || !a->alive())
+      return;
+    // The actor goes on: its continuation is an ordinary quantum, committed
+    // by the next pass.
+    a->state_ = Actor::State::kReady;
+    run_quantum(a, r);
   }
-  if (!a->alive() || a->pending_ != r.rec)
-    return;  // killed while parked earlier in this epilogue; already unwound
-  PendingSimcall* rec = r.rec;
-  a->pending_ = nullptr;
+}
 
-  switch (rec->kind) {
-    case PendingSimcall::Kind::kYield:
-      a->state_ = Actor::State::kReady;
-      schedule(a);
-      break;
+void Kernel::commit_record(Actor* a, PendingSimcall& rec) {
+  // Commits run as the maestro, so the simcalls called below take their
+  // direct bodies. Any exception (host down, bad arguments) surfaces in the
+  // actor when it next runs.
+  try {
+    switch (rec.kind) {
+      case PendingSimcall::Kind::kYield:
+        a->state_ = Actor::State::kReady;
+        schedule(a);
+        break;
 
-    case PendingSimcall::Kind::kExec:
-    case PendingSimcall::Kind::kPtask:
-    case PendingSimcall::Kind::kSleep:
-      try {
+      case PendingSimcall::Kind::kExec:
+      case PendingSimcall::Kind::kPtask:
+      case PendingSimcall::Kind::kSleep: {
         core::ActionPtr action;
-        if (rec->kind == PendingSimcall::Kind::kExec)
-          action = engine_.exec_start(a->host_, rec->flops, rec->priority, a->name_ + ":exec");
-        else if (rec->kind == PendingSimcall::Kind::kPtask)
-          action = engine_.ptask_start(*rec->ptask_hosts, *rec->ptask_flops, *rec->ptask_bytes,
+        if (rec.kind == PendingSimcall::Kind::kExec)
+          action = engine_.exec_start(a->host_, rec.flops, rec.priority, a->name_ + ":exec");
+        else if (rec.kind == PendingSimcall::Kind::kPtask)
+          action = engine_.ptask_start(*rec.ptask_hosts, *rec.ptask_flops, *rec.ptask_bytes,
                                        a->name_ + ":ptask");
         else
-          action = engine_.sleep_start(a->host_, rec->duration, a->name_ + ":sleep");
+          action = engine_.sleep_start(a->host_, rec.duration, a->name_ + ":sleep");
         action->user_data = a;
         if (a->suspended_)
           action->suspend();  // suspended while parked: start the work paused
         a->blocked_action_ = std::move(action);
-      } catch (...) {
-        // Surface creation failures (host down, bad arguments) inside the
-        // actor, as the inline path would have.
-        rec->error = std::current_exception();
-        wake(a, WakeStatus::kOk);
+        break;
       }
-      break;
 
-    case PendingSimcall::Kind::kSendWait: {
-      CommPtr comm = send_async_impl(a, rec->mailbox, rec->payload, rec->bytes, rec->rate);
-      rec->comm = comm;
-      commit_comm_wait(a, *rec, comm);
-      break;
+      case PendingSimcall::Kind::kSendWait:
+        rec.comm = send_async_impl(a, rec.mailbox, rec.payload, rec.bytes, rec.rate);
+        commit_comm_wait(a, rec, rec.comm);
+        break;
+      case PendingSimcall::Kind::kRecvWait:
+        rec.comm = recv_async_impl(a, rec.mailbox);
+        commit_comm_wait(a, rec, rec.comm);
+        break;
+      case PendingSimcall::Kind::kCommWait:
+        commit_comm_wait(a, rec, rec.comm);
+        break;
+
+      case PendingSimcall::Kind::kSuspendSelf:
+        // Runnable again the moment someone resume()s it; parked until then.
+        a->suspended_ = true;
+        a->state_ = Actor::State::kReady;
+        break;
+
+      case PendingSimcall::Kind::kSendAsync:
+        rec.comm = send_async_impl(a, rec.mailbox, rec.payload, rec.bytes, rec.rate);
+        rec.comm->detached = rec.detached;
+        break;
+      case PendingSimcall::Kind::kRecvAsync:
+        rec.comm = recv_async_impl(a, rec.mailbox);
+        break;
+      case PendingSimcall::Kind::kCommTest:
+        rec.flag_result = comm_test(rec.comm);
+        break;
+      case PendingSimcall::Kind::kCommProbe:
+        rec.flag_result = comm_waiting(rec.mailbox);
+        break;
+      case PendingSimcall::Kind::kInternMailbox:
+        rec.interned = intern_mailbox(*rec.name, a->shard_);
+        break;
+      case PendingSimcall::Kind::kSpawn:
+        rec.spawned = spawn(*rec.name, rec.host, std::move(*rec.spawn_body), rec.spawn_daemon,
+                            rec.spawn_auto_restart);
+        break;
+      case PendingSimcall::Kind::kKill:
+        kill(rec.target);
+        break;
+      case PendingSimcall::Kind::kSuspendOther:
+        suspend(rec.target);
+        break;
+      case PendingSimcall::Kind::kResume:
+        resume(rec.target);
+        break;
+      case PendingSimcall::Kind::kHostState:
+      case PendingSimcall::Kind::kLeaveHost:
+      case PendingSimcall::Kind::kRejoinHost:
+        // Resource changes are processed once the whole chain of quanta has
+        // been committed (run_scheduling_round), not here.
+        host_simcall(rec.kind, rec.host, rec.host_on);
+        break;
+
+      case PendingSimcall::Kind::kNone:
+        assert(false && "parked without a record");
+        break;
     }
-    case PendingSimcall::Kind::kRecvWait: {
-      CommPtr comm = recv_async_impl(a, rec->mailbox);
-      rec->comm = comm;
-      commit_comm_wait(a, *rec, comm);
-      break;
-    }
-    case PendingSimcall::Kind::kCommWait:
-      commit_comm_wait(a, *rec, rec->comm);
-      break;
-
-    case PendingSimcall::Kind::kSendAsync: {
-      CommPtr comm = send_async_impl(a, rec->mailbox, rec->payload, rec->bytes, rec->rate);
-      comm->detached = rec->detached;
-      rec->comm = comm;
-      serial_resume(a);
-      break;
-    }
-    case PendingSimcall::Kind::kRecvAsync:
-      rec->comm = recv_async_impl(a, rec->mailbox);
-      serial_resume(a);
-      break;
-
-    case PendingSimcall::Kind::kCommTest:
-      rec->flag_result = rec->comm->state == Comm::State::kFinished;
-      serial_resume(a);
-      break;
-    case PendingSimcall::Kind::kCommProbe:
-      rec->flag_result =
-          rec->mailbox != kNoMailbox && !mailbox_ref(rec->mailbox).queued_sends.empty();
-      serial_resume(a);
-      break;
-
-    case PendingSimcall::Kind::kInternMailbox:
-      rec->interned = intern_mailbox(*rec->name, a->shard_);
-      serial_resume(a);
-      break;
-
-    case PendingSimcall::Kind::kSpawn:
-      try {
-        rec->spawned = spawn(*rec->name, rec->host, std::move(*rec->spawn_body),
-                             rec->spawn_daemon, rec->spawn_auto_restart);
-      } catch (...) {
-        rec->error = std::current_exception();
-      }
-      serial_resume(a);
-      break;
-
-    case PendingSimcall::Kind::kKill: {
-      Actor* victim = actor(rec->target);
-      if (victim != nullptr && victim->alive())
-        kill_internal(victim, false);
-      // The victim's exit callbacks may have killed the caller in turn.
-      if (a->alive())
-        serial_resume(a);
-      break;
-    }
-
-    case PendingSimcall::Kind::kSuspendSelf:
-      // Like the inline self-suspend: runnable again the moment someone
-      // resume()s it; stays parked until then.
-      a->suspended_ = true;
-      a->state_ = Actor::State::kReady;
-      break;
-    case PendingSimcall::Kind::kSuspendOther:
-      suspend(rec->target);
-      serial_resume(a);
-      break;
-    case PendingSimcall::Kind::kResume:
-      resume(rec->target);
-      serial_resume(a);
-      break;
-
-    case PendingSimcall::Kind::kHostState:
-      try {
-        engine_.set_host_state(rec->host, rec->host_on);
-      } catch (...) {
-        rec->error = std::current_exception();
-      }
-      // Resource changes are processed when this quantum fully ends (after
-      // the serial continuation blocks), matching the inline ordering.
-      serial_resume(a);
-      break;
-
-    case PendingSimcall::Kind::kLeaveHost:
-      try {
-        engine_.leave_host(rec->host);
-      } catch (...) {
-        rec->error = std::current_exception();
-      }
-      serial_resume(a);
-      break;
-    case PendingSimcall::Kind::kRejoinHost:
-      try {
-        engine_.rejoin_host(rec->host);
-      } catch (...) {
-        rec->error = std::current_exception();
-      }
-      serial_resume(a);
-      break;
-
-    case PendingSimcall::Kind::kNone:
-      assert(false && "parked without a record");
-      break;
+  } catch (...) {
+    rec.error = std::current_exception();
+    if (!PendingSimcall::resumes_after(rec.kind))
+      wake(a, WakeStatus::kOk);  // a parked kind must still be resumed to see it
   }
 }
 
@@ -758,43 +706,25 @@ void Kernel::commit_ran(RanActor& r) {
 void Kernel::execute(double flops, double priority) {
   Actor* a = self();
   assert(a != nullptr && "execute() must be called from an actor");
-  if (a->phase_quantum_) {
-    PendingSimcall rec;
-    rec.kind = PendingSimcall::Kind::kExec;
-    rec.flops = flops;
-    rec.priority = priority;
-    record_and_park(a, rec);
-    if (rec.error)
-      std::rethrow_exception(rec.error);
-    check_status(a->wake_status_);
-    return;
-  }
-  auto action = engine_.exec_start(a->host_, flops, priority, a->name_ + ":exec");
-  action->user_data = a;
-  a->blocked_action_ = action;
-  check_status(block_self(a, -1.0));
+  PendingSimcall rec;
+  rec.kind = PendingSimcall::Kind::kExec;
+  rec.flops = flops;
+  rec.priority = priority;
+  record_and_park(a, rec);
+  check_status(a->wake_status_);
 }
 
 void Kernel::execute_parallel(const std::vector<int>& hosts, const std::vector<double>& flops,
                               const std::vector<std::vector<double>>& bytes) {
   Actor* a = self();
   assert(a != nullptr && "execute_parallel() must be called from an actor");
-  if (a->phase_quantum_) {
-    PendingSimcall rec;
-    rec.kind = PendingSimcall::Kind::kPtask;
-    rec.ptask_hosts = &hosts;
-    rec.ptask_flops = &flops;
-    rec.ptask_bytes = &bytes;
-    record_and_park(a, rec);
-    if (rec.error)
-      std::rethrow_exception(rec.error);
-    check_status(a->wake_status_);
-    return;
-  }
-  auto action = engine_.ptask_start(hosts, flops, bytes, a->name_ + ":ptask");
-  action->user_data = a;
-  a->blocked_action_ = action;
-  check_status(block_self(a, -1.0));
+  PendingSimcall rec;
+  rec.kind = PendingSimcall::Kind::kPtask;
+  rec.ptask_hosts = &hosts;
+  rec.ptask_flops = &flops;
+  rec.ptask_bytes = &bytes;
+  record_and_park(a, rec);
+  check_status(a->wake_status_);
 }
 
 void Kernel::sleep_for(double duration) {
@@ -804,36 +734,21 @@ void Kernel::sleep_for(double duration) {
     yield_now();
     return;
   }
-  if (a->phase_quantum_) {
-    PendingSimcall rec;
-    rec.kind = PendingSimcall::Kind::kSleep;
-    rec.duration = duration;
-    record_and_park(a, rec);
-    if (rec.error)
-      std::rethrow_exception(rec.error);
-    check_status(a->wake_status_);
-    return;
-  }
-  auto action = engine_.sleep_start(a->host_, duration, a->name_ + ":sleep");
-  action->user_data = a;
-  a->blocked_action_ = action;
-  check_status(block_self(a, -1.0));
+  PendingSimcall rec;
+  rec.kind = PendingSimcall::Kind::kSleep;
+  rec.duration = duration;
+  record_and_park(a, rec);
+  check_status(a->wake_status_);
 }
 
 void Kernel::yield_now() {
   Actor* a = self();
   assert(a != nullptr);
-  if (a->phase_quantum_) {
-    // The requeue touches the shard's own deque, but the epilogue does it
-    // instead so the ready order interleaves identically in both modes.
-    PendingSimcall rec;
-    rec.kind = PendingSimcall::Kind::kYield;
-    record_and_park(a, rec);
-    return;
-  }
-  a->state_ = Actor::State::kReady;
-  schedule(a);
-  a->context_->yield();
+  // The requeue touches the shard's own deque, but the epilogue does it so
+  // the ready order does not depend on lane interleaving.
+  PendingSimcall rec;
+  rec.kind = PendingSimcall::Kind::kYield;
+  record_and_park(a, rec);
 }
 
 void Kernel::exit_self() {
@@ -845,19 +760,18 @@ void Kernel::exit_self() {
 
 MailboxId Kernel::mailbox_by_name(const std::string& name) {
   Actor* a = self();
-  if (a != nullptr && a->phase_quantum_) {
-    // The id map is only mutated serially, so phase-time lookups are
-    // race-free; a miss defers the insertion to the epilogue.
-    auto it = mailbox_ids_.find(name);
-    if (it != mailbox_ids_.end())
-      return it->second;
-    PendingSimcall rec;
-    rec.kind = PendingSimcall::Kind::kInternMailbox;
-    rec.name = &name;
-    record_and_park(a, rec);
-    return rec.interned;
-  }
-  return intern_mailbox(name, a != nullptr ? a->shard_ : 0);
+  if (a == nullptr)
+    return intern_mailbox(name, 0);
+  // The id map is only mutated serially, so quantum-time lookups are
+  // race-free; a miss defers the insertion to the epilogue.
+  auto it = mailbox_ids_.find(name);
+  if (it != mailbox_ids_.end())
+    return it->second;
+  PendingSimcall rec;
+  rec.kind = PendingSimcall::Kind::kInternMailbox;
+  rec.name = &name;
+  record_and_park(a, rec);
+  return rec.interned;
 }
 
 MailboxId Kernel::intern_mailbox(const std::string& name, std::int32_t home) {
@@ -874,17 +788,16 @@ MailboxId Kernel::intern_mailbox(const std::string& name, std::int32_t home) {
 CommPtr Kernel::send_async(MailboxId mb, void* payload, double bytes, double rate) {
   Actor* a = self();
   assert(a != nullptr && "send must be called from an actor");
-  if (a->phase_quantum_ && mailbox_ref(mb).home != a->shard_) {
-    PendingSimcall rec;
-    rec.kind = PendingSimcall::Kind::kSendAsync;
-    rec.mailbox = mb;
-    rec.payload = payload;
-    rec.bytes = bytes;
-    rec.rate = rate;
-    record_and_park(a, rec);
-    return rec.comm;
-  }
-  return send_async_impl(a, mb, payload, bytes, rate);
+  if (mailbox_ref(mb).home == a->shard_)
+    return send_async_impl(a, mb, payload, bytes, rate);
+  PendingSimcall rec;
+  rec.kind = PendingSimcall::Kind::kSendAsync;
+  rec.mailbox = mb;
+  rec.payload = payload;
+  rec.bytes = bytes;
+  rec.rate = rate;
+  record_and_park(a, rec);
+  return rec.comm;
 }
 
 CommPtr Kernel::send_async_impl(Actor* a, MailboxId mb, void* payload, double bytes, double rate) {
@@ -898,9 +811,9 @@ CommPtr Kernel::send_async_impl(Actor* a, MailboxId mb, void* payload, double by
     comm->payload = payload;
     comm->bytes = bytes;
     comm->rate = rate;
-    if (a->phase_quantum_) {
-      // Lanes never touch the engine: park the match until the maestro
-      // replays this shard's pending starts (lists-local rule, kernel.hpp).
+    if (self() != nullptr) {
+      // Quanta never touch the engine: park the match until the maestro
+      // replays the quantum's pending starts (lists-local rule, kernel.hpp).
       comm->state = Comm::State::kMatched;
       a->phase_starts_->push_back(comm);
     } else {
@@ -924,14 +837,13 @@ CommPtr Kernel::send_async_impl(Actor* a, MailboxId mb, void* payload, double by
 CommPtr Kernel::recv_async(MailboxId mb) {
   Actor* a = self();
   assert(a != nullptr && "recv must be called from an actor");
-  if (a->phase_quantum_ && mailbox_ref(mb).home != a->shard_) {
-    PendingSimcall rec;
-    rec.kind = PendingSimcall::Kind::kRecvAsync;
-    rec.mailbox = mb;
-    record_and_park(a, rec);
-    return rec.comm;
-  }
-  return recv_async_impl(a, mb);
+  if (mailbox_ref(mb).home == a->shard_)
+    return recv_async_impl(a, mb);
+  PendingSimcall rec;
+  rec.kind = PendingSimcall::Kind::kRecvAsync;
+  rec.mailbox = mb;
+  record_and_park(a, rec);
+  return rec.comm;
 }
 
 CommPtr Kernel::recv_async_impl(Actor* a, MailboxId mb) {
@@ -942,7 +854,7 @@ CommPtr Kernel::recv_async_impl(Actor* a, MailboxId mb) {
     comm->receiver = a;
     comm->receiver_id = a->id_;
     comm->dst_host = a->host_;
-    if (a->phase_quantum_) {
+    if (self() != nullptr) {
       comm->state = Comm::State::kMatched;
       a->phase_starts_->push_back(comm);
     } else {
@@ -984,127 +896,98 @@ void Kernel::finish_comm(const CommPtr& comm, WakeStatus result) {
 void* Kernel::comm_wait(const CommPtr& comm, double timeout) {
   Actor* a = self();
   assert(a != nullptr);
-  if (a->phase_quantum_) {
-    // Even a home-shard comm defers the wait: its state can be flipped by the
-    // serial epilogue only, and both modes must park at the same point.
-    PendingSimcall rec;
-    rec.kind = PendingSimcall::Kind::kCommWait;
-    rec.comm = comm;
-    rec.timeout = timeout;
-    record_and_park(a, rec);
-    if (comm->sender_id == a->id_)
-      comm->sender_waiting = false;
-    else
-      comm->receiver_waiting = false;
-    check_status(a->wake_status_);
-    return comm->payload;
-  }
-  WakeStatus st;
-  if (comm->state == Comm::State::kFinished) {
-    st = comm->result;
-  } else {
-    const bool is_sender = comm->sender_id == a->id_;
-    if (is_sender)
-      comm->sender_waiting = true;
-    else
-      comm->receiver_waiting = true;
-    a->blocked_comm_ = comm;
-    st = block_self(a, timeout);
-    if (is_sender)
-      comm->sender_waiting = false;
-    else
-      comm->receiver_waiting = false;
-  }
-  check_status(st);
+  // Even a home-shard comm defers the wait: its state is flipped by the
+  // serial epilogue only.
+  PendingSimcall rec;
+  rec.kind = PendingSimcall::Kind::kCommWait;
+  rec.comm = comm;
+  rec.timeout = timeout;
+  record_and_park(a, rec);
+  if (comm->sender_id == a->id_)
+    comm->sender_waiting = false;
+  else
+    comm->receiver_waiting = false;
+  check_status(a->wake_status_);
   return comm->payload;
 }
 
 void Kernel::send(MailboxId mb, void* payload, double bytes, double timeout, double rate) {
   Actor* a = self();
   assert(a != nullptr && "send must be called from an actor");
-  if (a->phase_quantum_ && mailbox_ref(mb).home != a->shard_) {
-    // Fused enqueue+wait: one park instead of an async record followed by a
-    // second park in comm_wait.
-    PendingSimcall rec;
-    rec.kind = PendingSimcall::Kind::kSendWait;
-    rec.mailbox = mb;
-    rec.payload = payload;
-    rec.bytes = bytes;
-    rec.rate = rate;
-    rec.timeout = timeout;
-    record_and_park(a, rec);
-    if (rec.comm)
-      rec.comm->sender_waiting = false;
-    check_status(a->wake_status_);
+  if (mailbox_ref(mb).home == a->shard_) {
+    comm_wait(send_async(mb, payload, bytes, rate), timeout);
     return;
   }
-  comm_wait(send_async(mb, payload, bytes, rate), timeout);
+  // Fused enqueue+wait: one park instead of an async record followed by a
+  // second park in comm_wait.
+  PendingSimcall rec;
+  rec.kind = PendingSimcall::Kind::kSendWait;
+  rec.mailbox = mb;
+  rec.payload = payload;
+  rec.bytes = bytes;
+  rec.rate = rate;
+  rec.timeout = timeout;
+  record_and_park(a, rec);
+  if (rec.comm)
+    rec.comm->sender_waiting = false;
+  check_status(a->wake_status_);
 }
 
 void Kernel::send_detached(MailboxId mb, void* payload, double bytes, double rate) {
   Actor* a = self();
   assert(a != nullptr && "send_detached must be called from an actor");
-  if (a->phase_quantum_ && mailbox_ref(mb).home != a->shard_) {
-    PendingSimcall rec;
-    rec.kind = PendingSimcall::Kind::kSendAsync;
-    rec.mailbox = mb;
-    rec.payload = payload;
-    rec.bytes = bytes;
-    rec.rate = rate;
-    rec.detached = true;
-    record_and_park(a, rec);
+  if (mailbox_ref(mb).home == a->shard_) {
+    send_async_impl(a, mb, payload, bytes, rate)->detached = true;
     return;
   }
-  CommPtr comm = send_async_impl(a, mb, payload, bytes, rate);
-  comm->detached = true;
+  PendingSimcall rec;
+  rec.kind = PendingSimcall::Kind::kSendAsync;
+  rec.mailbox = mb;
+  rec.payload = payload;
+  rec.bytes = bytes;
+  rec.rate = rate;
+  rec.detached = true;
+  record_and_park(a, rec);
 }
 
 void* Kernel::recv(MailboxId mb, double timeout, ActorId* source) {
   Actor* a = self();
   assert(a != nullptr && "recv must be called from an actor");
-  if (a->phase_quantum_ && mailbox_ref(mb).home != a->shard_) {
-    PendingSimcall rec;
-    rec.kind = PendingSimcall::Kind::kRecvWait;
-    rec.mailbox = mb;
-    rec.timeout = timeout;
-    record_and_park(a, rec);
-    if (rec.comm)
-      rec.comm->receiver_waiting = false;
-    check_status(a->wake_status_);
+  if (mailbox_ref(mb).home == a->shard_) {
+    CommPtr comm = recv_async(mb);
+    void* payload = comm_wait(comm, timeout);
     if (source != nullptr)
-      *source = rec.comm->sender_id;
-    return rec.comm->payload;
+      *source = comm->sender_id;
+    return payload;
   }
-  CommPtr comm = recv_async(mb);
-  void* payload = comm_wait(comm, timeout);
+  PendingSimcall rec;
+  rec.kind = PendingSimcall::Kind::kRecvWait;
+  rec.mailbox = mb;
+  rec.timeout = timeout;
+  record_and_park(a, rec);
+  if (rec.comm)
+    rec.comm->receiver_waiting = false;
+  check_status(a->wake_status_);
   if (source != nullptr)
-    *source = comm->sender_id;
-  return payload;
+    *source = rec.comm->sender_id;
+  return rec.comm->payload;
 }
 
 bool Kernel::comm_waiting(MailboxId mb) {
   Actor* a = self();
-  if (a != nullptr && a->phase_quantum_ && mailbox_ref(mb).home != a->shard_) {
+  if (a != nullptr && mailbox_ref(mb).home != a->shard_) {
     PendingSimcall rec;
     rec.kind = PendingSimcall::Kind::kCommProbe;
     rec.mailbox = mb;
     record_and_park(a, rec);
     return rec.flag_result;
   }
-  return !mailboxes_[static_cast<size_t>(mb)].queued_sends.empty();
-}
-
-bool Kernel::comm_waiting(const std::string& mb) {
-  // Probe without interning: an unknown name trivially has nothing queued.
-  // The id map only mutates serially, so the phase-time find is race-free.
-  auto it = mailbox_ids_.find(mb);
-  return it != mailbox_ids_.end() && comm_waiting(it->second);
+  return !mailbox_ref(mb).queued_sends.empty();
 }
 
 bool Kernel::comm_test(const CommPtr& comm) {
   Actor* a = self();
-  if (a != nullptr && a->phase_quantum_ &&
-      (comm->mailbox == kNoMailbox || mailbox_ref(comm->mailbox).home != a->shard_)) {
+  if (a != nullptr && (comm->mailbox == kNoMailbox || mailbox_ref(comm->mailbox).home != a->shard_)) {
     // A foreign-shard comm may be getting matched by its home lane right
     // now; only the serial epilogue can read its state safely.
     PendingSimcall rec;
@@ -1207,9 +1090,9 @@ void Kernel::detach_from_comm(Actor* a) {
     comm->state = Comm::State::kFinished;
     comm->result = WakeStatus::kCanceled;
   } else if (comm->state == Comm::State::kMatched) {
-    // Matched during the scheduling phase but its engine transfer was never
-    // started (the party died before the pending start replayed). There is
-    // no action to cancel; just fail the peer if it is already waiting.
+    // Matched by a quantum but its engine transfer was never started (the
+    // party died before the pending start replayed). There is no action to
+    // cancel; just fail the peer if it is already waiting.
     comm->state = Comm::State::kFinished;
     comm->result = WakeStatus::kCanceled;
     const bool a_is_sender = comm->sender_id == a->id_;
@@ -1232,20 +1115,15 @@ void Kernel::detach_from_comm(Actor* a) {
 // -- actor management -----------------------------------------------------------
 
 void Kernel::suspend(ActorId id) {
-  if (Actor* caller = self(); caller != nullptr && caller->phase_quantum_) {
+  if (Actor* caller = self()) {
+    // Self-suspend parks right here; the commit flips the flag and leaves
+    // the actor out of the queues until someone calls resume(). Suspending
+    // another actor reads its state, which only the serial commit may do.
     PendingSimcall rec;
-    if (id == caller->id_) {
-      // Self-suspend parks right here; the commit flips the flag and leaves
-      // the actor out of the queues until someone calls resume().
-      rec.kind = PendingSimcall::Kind::kSuspendSelf;
-      record_and_park(caller, rec);
-    } else {
-      // Reading the target's state from a lane would race with the lane that
-      // owns it — the commit does the lookup and the flag work serially.
-      rec.kind = PendingSimcall::Kind::kSuspendOther;
-      rec.target = id;
-      record_and_park(caller, rec);
-    }
+    rec.kind = id == caller->id_ ? PendingSimcall::Kind::kSuspendSelf
+                                 : PendingSimcall::Kind::kSuspendOther;
+    rec.target = id;
+    record_and_park(caller, rec);
     return;
   }
   Actor* a = actor(id);
@@ -1256,14 +1134,10 @@ void Kernel::suspend(ActorId id) {
     a->blocked_action_->suspend();
   if (a->blocked_comm_ && a->blocked_comm_->state == Comm::State::kStarted && a->blocked_comm_->action)
     a->blocked_comm_->action->suspend();
-  if (a == self()) {
-    a->state_ = Actor::State::kReady;  // runnable again as soon as resumed
-    a->context_->yield();
-  }
 }
 
 void Kernel::resume(ActorId id) {
-  if (Actor* caller = self(); caller != nullptr && caller->phase_quantum_) {
+  if (Actor* caller = self()) {
     PendingSimcall rec;
     rec.kind = PendingSimcall::Kind::kResume;
     rec.target = id;
@@ -1282,7 +1156,7 @@ void Kernel::resume(ActorId id) {
 }
 
 void Kernel::kill(ActorId id) {
-  if (Actor* caller = self(); caller != nullptr && caller->phase_quantum_) {
+  if (Actor* caller = self()) {
     if (id == caller->id_) {
       caller->killed_by_failure_ = false;
       throw ForcedExit{};
@@ -1293,18 +1167,17 @@ void Kernel::kill(ActorId id) {
     record_and_park(caller, rec);
     return;
   }
-  Actor* a = actor(id);
-  if (a == nullptr || !a->alive())
-    return;
-  kill_internal(a, false);
+  if (Actor* a = actor(id))
+    kill_internal(a, false);
 }
 
 void Kernel::kill_internal(Actor* a, bool by_failure) {
-  if (!a->alive())
+  // A kill reaching an actor whose unwind is already under way (its own
+  // cleanup or an exit callback killing it again) is a no-op: that unwind
+  // finishes it.
+  if (!a->alive() || a->context_->kill_requested())
     return;
   a->killed_by_failure_ = by_failure;
-  if (a == self())
-    throw ForcedExit{};
   detach_from_comm(a);
   if (a->blocked_action_) {
     auto action = a->blocked_action_;
@@ -1314,26 +1187,20 @@ void Kernel::kill_internal(Actor* a, bool by_failure) {
   }
   a->pending_ = nullptr;
   if (a->context_->finished()) {
-    // The body already ran to completion during a scheduling phase and its
-    // end handling is waiting for the epilogue commit; resuming a finished
+    // The body already ran to completion in a quantum and its end
+    // handling is waiting for the epilogue commit; resuming a finished
     // context would never come back. Finish it here instead.
     handle_actor_end(a);
     return;
   }
   a->context_->request_kill();
-  // Resume until the body has unwound (RAII during the unwind may yield).
-  // Track by id, not pointer: the final resume runs handle_actor_end, which
-  // may reap the slot.
-  const ActorId id = a->id_;
-  while (true) {
-    auto it = id_to_slot_.find(id);
-    if (it == id_to_slot_.end())
-      return;  // reaped
-    Actor* cur = slot(it->second);
-    if (!cur->alive())
-      return;  // zombie awaiting its run-queue reap
-    resume_context(cur);
-  }
+  // One quantum unwinds the whole body: it cannot park again (see
+  // record_and_park). Home-mailbox matches made by its cleanup still start.
+  RanActor r;
+  run_quantum(a, r);
+  assert(r.finished);
+  start_matched(r);
+  handle_actor_end(a);  // may reap `a`
 }
 
 bool Kernel::is_alive(ActorId id) const {
@@ -1358,32 +1225,25 @@ std::vector<ActorId> Kernel::live_actors() const {
 
 // -- platform control -------------------------------------------------------------
 
-void Kernel::host_off(int host) {
-  if (Actor* a = self(); a != nullptr && a->phase_quantum_) {
-    PendingSimcall rec;
-    rec.kind = PendingSimcall::Kind::kHostState;
-    rec.host = host;
-    rec.host_on = false;
-    record_and_park(a, rec);
-    if (rec.error)
-      std::rethrow_exception(rec.error);
-    return;
-  }
-  engine_.set_host_state(host, false);
-}
+void Kernel::host_off(int host) { host_simcall(PendingSimcall::Kind::kHostState, host, false); }
 
-void Kernel::host_on(int host) {
-  if (Actor* a = self(); a != nullptr && a->phase_quantum_) {
+void Kernel::host_on(int host) { host_simcall(PendingSimcall::Kind::kHostState, host, true); }
+
+void Kernel::host_simcall(PendingSimcall::Kind kind, int host, bool on) {
+  if (Actor* a = self()) {
     PendingSimcall rec;
-    rec.kind = PendingSimcall::Kind::kHostState;
+    rec.kind = kind;
     rec.host = host;
-    rec.host_on = true;
+    rec.host_on = on;
     record_and_park(a, rec);
-    if (rec.error)
-      std::rethrow_exception(rec.error);
     return;
   }
-  engine_.set_host_state(host, true);
+  if (kind == PendingSimcall::Kind::kHostState)
+    engine_.set_host_state(host, on);
+  else if (kind == PendingSimcall::Kind::kLeaveHost)
+    engine_.leave_host(host);
+  else
+    engine_.rejoin_host(host);
 }
 
 // -- platform control (dynamic membership) --------------------------------------
@@ -1403,31 +1263,9 @@ int Kernel::join_host(const platform::HostSpec& spec, platform::NodeId attach,
   return h;
 }
 
-void Kernel::leave_host(int host) {
-  if (Actor* a = self(); a != nullptr && a->phase_quantum_) {
-    PendingSimcall rec;
-    rec.kind = PendingSimcall::Kind::kLeaveHost;
-    rec.host = host;
-    record_and_park(a, rec);
-    if (rec.error)
-      std::rethrow_exception(rec.error);
-    return;
-  }
-  engine_.leave_host(host);
-}
+void Kernel::leave_host(int host) { host_simcall(PendingSimcall::Kind::kLeaveHost, host, false); }
 
-void Kernel::rejoin_host(int host) {
-  if (Actor* a = self(); a != nullptr && a->phase_quantum_) {
-    PendingSimcall rec;
-    rec.kind = PendingSimcall::Kind::kRejoinHost;
-    rec.host = host;
-    record_and_park(a, rec);
-    if (rec.error)
-      std::rethrow_exception(rec.error);
-    return;
-  }
-  engine_.rejoin_host(host);
-}
+void Kernel::rejoin_host(int host) { host_simcall(PendingSimcall::Kind::kRejoinHost, host, false); }
 
 void Kernel::process_resource_changes() {
   while (!host_changes_.empty()) {

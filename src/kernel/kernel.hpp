@@ -11,16 +11,23 @@
 ///  * **Scheduling phase** — each batched actor is resumed and runs user
 ///    code up to its next simcall. The simcall follows the lists-local rule:
 ///    side effects confined to the actor's home shard (matching on a
-///    home-shard mailbox, allocating from the shard's comm pool) commit
-///    inline; everything else — engine action creation, timers, wakes,
-///    spawns, kills, cross-shard mailboxes — is *recorded* into a
-///    PendingSimcall and the actor parks.
-///  * **Serial epilogue** — the maestro replays the records in fixed shard
-///    order (batch order within a shard, quantum order within an actor):
-///    starts the matched comms, creates engine actions, arms timers, reaps
-///    zombies, runs exit callbacks. Non-blocking simcalls resume their actor
-///    inline here, so the rest of that quantum runs under classic serial
-///    semantics.
+///    home-shard mailbox, allocating from the shard's comm pool) take
+///    effect in the quantum itself; everything else — engine action
+///    creation, timers, wakes, spawns, kills, cross-shard mailboxes — is
+///    *recorded* into a PendingSimcall and the actor parks.
+///  * **Serial epilogue** — the maestro commits the records in fixed shard
+///    order (batch order within a shard): starts the matched comms, creates
+///    engine actions, arms timers, reaps zombies, runs exit callbacks. When
+///    a commit lets its actor go on (the non-blocking simcalls), the
+///    epilogue runs that actor's next quantum right away and commits it in
+///    turn, until the actor blocks or ends.
+///
+/// Every actor-side simcall takes this one record-and-park path, whether
+/// its quantum started a round or continues a commit: self() is non-null
+/// exactly while a quantum runs, and the maestro (self() == nullptr) calls
+/// the direct bodies. The one exception is a killed actor unwinding inside
+/// kill_internal: its non-blocking simcalls commit on its own stack and its
+/// blocking ones raise ForcedExit, since nothing could ever wake them.
 ///
 /// With `engine/parallel-actors` off (default) the scheduling phase runs on
 /// the maestro; with it on, it fans out over the engine's ShardWorkers lanes
@@ -83,7 +90,8 @@ public:
   bool deadlocked() const { return deadlocked_; }
 
   // -- actor-side simcalls -----------------------------------------------------
-  /// The actor currently executing (nullptr on the maestro), and its kernel.
+  /// The actor whose quantum is running (nullptr on the maestro), and its
+  /// kernel.
   static Actor* self();
   static Kernel* current();
 
@@ -123,24 +131,6 @@ public:
 
   /// Is a send already queued on this mailbox? (message probe)
   bool comm_waiting(MailboxId mailbox);
-
-  // String-keyed convenience wrappers (one interning each; fine for cold
-  // paths and tests, wasteful in per-message loops).
-  void send(const std::string& mailbox, void* payload, double bytes, double timeout = -1.0,
-            double rate = -1.0) {
-    send(mailbox_by_name(mailbox), payload, bytes, timeout, rate);
-  }
-  void send_detached(const std::string& mailbox, void* payload, double bytes, double rate = -1.0) {
-    send_detached(mailbox_by_name(mailbox), payload, bytes, rate);
-  }
-  void* recv(const std::string& mailbox, double timeout = -1.0, ActorId* source = nullptr) {
-    return recv(mailbox_by_name(mailbox), timeout, source);
-  }
-  CommPtr send_async(const std::string& mailbox, void* payload, double bytes, double rate = -1.0) {
-    return send_async(mailbox_by_name(mailbox), payload, bytes, rate);
-  }
-  CommPtr recv_async(const std::string& mailbox) { return recv_async(mailbox_by_name(mailbox)); }
-  bool comm_waiting(const std::string& mailbox);
 
   /// Wait for an async comm; throws like send/recv. Returns the payload.
   void* comm_wait(const CommPtr& comm, double timeout = -1.0);
@@ -223,18 +213,13 @@ private:
   void host_list_remove(Actor* a);
   std::int32_t shard_for_host(int host) const;
 
-  /// Run one actor: publish it as current, resume its context, and handle
-  /// its termination. Safe to call re-entrantly (an actor killing another).
-  void resume_context(Actor* a);
   void handle_actor_end(Actor* a);
   void schedule(Actor* a);
   void wake(Actor* a, WakeStatus status);
-  /// Park the calling actor until woken; returns the wake status.
-  WakeStatus block_self(Actor* a, double timeout);
 
   // -- round-based scheduling (see the execution-model notes above) -------------
-  /// One actor's quantum as observed by the scheduling phase: what it
-  /// recorded, the comms its inline simcalls matched, whether its body ended.
+  /// One actor's quantum: what it recorded, the comms its home-mailbox
+  /// simcalls matched, whether its body ended.
   struct RanActor {
     Actor* actor = nullptr;
     ActorId id = -1;  ///< guards against the slot being reaped + reused mid-epilogue
@@ -248,19 +233,25 @@ private:
   bool run_scheduling_round(core::ShardWorkers* workers);
   /// Drain one shard's batch; runs on the shard's lane during the phase.
   void run_shard_batch(int shard, int lanes);
-  /// Serial commit of one quantum's record.
+  /// Resume `a` on the calling thread until its next simcall or its end,
+  /// recording the outcome into `r` (the kernel's only resume point).
+  void run_quantum(Actor* a, RanActor& r);
+  /// Serial commit of one quantum's record, then of each continuation
+  /// quantum while the commits let the actor go on.
   void commit_ran(RanActor& r);
+  /// Engine-start the comms a quantum matched on its home mailboxes.
+  void start_matched(RanActor& r);
+  /// Apply one record's effects, as the maestro.
+  void commit_record(Actor* a, PendingSimcall& rec);
   /// Commit helper: park-for-wait bookkeeping for a (possibly fresh) comm.
   void commit_comm_wait(Actor* a, PendingSimcall& rec, const CommPtr& comm);
-  /// Actor side: publish `rec` and park until the epilogue commits it.
+  /// Actor side: publish `rec` and park until the epilogue commits it (or,
+  /// while a kill unwinds the actor, commit it in place).
   void record_and_park(Actor* a, PendingSimcall& rec);
-  /// Epilogue side: resume a parked actor inline (non-blocking simcalls).
-  void serial_resume(Actor* a);
+  /// host_off / host_on / leave_host / rejoin_host: record or apply.
+  void host_simcall(PendingSimcall::Kind kind, int host, bool on);
   void arm_timeout(Actor* a, double timeout);
   size_t total_ready() const;
-  /// True while the calling thread executes a scheduling phase (i.e. self()
-  /// must defer or stay lists-local rather than mutate shared kernel state).
-  static bool in_scheduling_phase();
 
   CommPtr make_comm(Actor* for_actor);
   Mailbox& mailbox_ref(MailboxId id) { return mailboxes_[static_cast<size_t>(id)]; }

@@ -278,15 +278,15 @@ TEST_F(ActorRuntimeTest, StringAndIdKeyedSimcallsShareTheMailbox) {
   Kernel k(sg::platform::make_dumbbell(1e9, 1e8, 0.0));
   const MailboxId mbox = k.mailbox_by_name("shared");
   std::intptr_t got = 0;
-  k.spawn("tx", 0,
-          [&k] { k.send("shared", reinterpret_cast<void*>(static_cast<std::intptr_t>(99)), 1e3); });
+  k.spawn("tx", 0, [&k] {
+    k.send(k.mailbox_by_name("shared"), reinterpret_cast<void*>(static_cast<std::intptr_t>(99)), 1e3);
+  });
   k.spawn("rx", 1, [&k, &got, mbox] {
     got = reinterpret_cast<std::intptr_t>(k.recv(mbox));  // id-keyed recv
   });
   k.run();
   EXPECT_EQ(99, got);
   EXPECT_FALSE(k.comm_waiting(mbox));
-  EXPECT_FALSE(k.comm_waiting("never-used"));  // probe must not intern
 }
 
 TEST_F(ActorRuntimeTest, ShardedRunQueuesStayDeterministicAcrossBackends) {
@@ -332,6 +332,76 @@ TEST_F(ActorRuntimeTest, ShardedRunQueuesStayDeterministicAcrossBackends) {
   EXPECT_EQ(fiber, thread);
   const auto fiber_again = run_sharded("fiber");
   EXPECT_EQ(fiber, fiber_again);  // rerun determinism, not just agreement
+}
+
+// A killed actor unwinds with normal C++ semantics, and simcalls made by its
+// RAII cleanup still work as long as they do not block: a farewell send to a
+// live receiver is delivered and a completion test returns.
+TEST_F(ActorRuntimeTest, NonBlockingSimcallsCompleteDuringKillUnwind) {
+  SKIP_IF_FIBER_LANES_UNDER_TSAN();
+  for (const std::string backend : {"fiber", "thread"}) {
+    SCOPED_TRACE(backend);
+    use_backend(backend);
+    Platform p;
+    for (int z = 0; z < 2; ++z) {
+      sg::platform::ClusterZoneSpec zone;
+      zone.name = "zone" + std::to_string(z);
+      zone.host_prefix = "z" + std::to_string(z) + "-";
+      zone.count = 2;
+      p.add_cluster_zone(zone);
+    }
+    p.add_edge(p.zone_gateway(0), p.zone_gateway(1),
+               p.add_link("wan", 4e8, 1e-3, sg::platform::SharingPolicy::kFatpipe));
+    p.seal();
+    Kernel k(std::move(p));
+    const auto& host_shard = k.engine().platform().shard_map().host_shard;
+    ASSERT_EQ(host_shard[0], host_shard[1]);
+    ASSERT_NE(host_shard[0], host_shard[2]);
+
+    // "near" is homed on the victim's shard (home-mailbox fast path), "far"
+    // and "idle" on the other one (recorded simcalls).
+    std::intptr_t near_got = 0;
+    std::intptr_t far_got = 0;
+    k.spawn("near", 1, [&] { near_got = reinterpret_cast<std::intptr_t>(k.recv(k.mailbox_by_name("near"))); });
+    k.spawn("far", 2, [&] {
+      k.mailbox_by_name("idle");
+      far_got = reinterpret_cast<std::intptr_t>(k.recv(k.mailbox_by_name("far")));
+    });
+
+    struct Farewell {
+      Kernel& k;
+      MailboxId near;
+      MailboxId far;
+      CommPtr never_matched;
+      int& tests_done;
+      ~Farewell() {
+        k.send_detached(near, reinterpret_cast<void*>(std::intptr_t{7}), 1e3);
+        k.send_detached(far, reinterpret_cast<void*>(std::intptr_t{8}), 1e3);
+        if (!k.comm_test(never_matched))
+          ++tests_done;
+      }
+    };
+    int tests_done = 0;
+    const ActorId victim = k.spawn("victim", 0, [&] {
+      k.sleep_for(0.5);  // let the receivers intern (and so home) their mailboxes
+      Farewell guard{k, k.mailbox_by_name("near"), k.mailbox_by_name("far"),
+                     k.recv_async(k.mailbox_by_name("idle")), tests_done};
+      k.sleep_for(100.0);
+    });
+    k.spawn("killer", 3, [&] {
+      k.sleep_for(1.0);
+      k.kill(victim);
+    });
+    const double end = k.run();
+
+    EXPECT_EQ(7, near_got);
+    EXPECT_EQ(8, far_got);
+    EXPECT_EQ(1, tests_done);
+    EXPECT_FALSE(k.is_alive(victim));
+    EXPECT_FALSE(k.deadlocked());
+    EXPECT_EQ(0u, k.alive_actor_count());
+    EXPECT_LT(end, 2.0);
+  }
 }
 
 }  // namespace

@@ -67,9 +67,9 @@ TEST_F(KernelTest, SendRecvTransfersPayloadAndTime) {
   void* received = nullptr;
   double recv_time = -1;
   ActorId src_id = -1;
-  ActorId sender_id = k.spawn("sender", 0, [&] { k.send("mb", &value, 1e8); });
+  ActorId sender_id = k.spawn("sender", 0, [&] { k.send(k.mailbox_by_name("mb"), &value, 1e8); });
   k.spawn("receiver", 1, [&] {
-    received = k.recv("mb", -1.0, &src_id);
+    received = k.recv(k.mailbox_by_name("mb"), -1.0, &src_id);
     recv_time = k.now();
   });
   k.run();
@@ -82,12 +82,12 @@ TEST_F(KernelTest, RendezvousWaitsForBothSides) {
   Kernel k(two_hosts());
   double send_done = -1;
   k.spawn("sender", 0, [&] {
-    k.send("mb", nullptr, 1e8);
+    k.send(k.mailbox_by_name("mb"), nullptr, 1e8);
     send_done = k.now();
   });
   k.spawn("receiver", 1, [&] {
     k.sleep_for(5.0);  // receiver arrives late
-    k.recv("mb");
+    k.recv(k.mailbox_by_name("mb"));
   });
   k.run();
   EXPECT_DOUBLE_EQ(send_done, 6.0);  // 5s wait + 1s transfer
@@ -99,7 +99,7 @@ TEST_F(KernelTest, RecvTimeoutThrows) {
   double when = -1;
   k.spawn("receiver", 0, [&] {
     try {
-      k.recv("empty", 0.5);
+      k.recv(k.mailbox_by_name("empty"), 0.5);
     } catch (const sg::xbt::TimeoutException&) {
       timed_out = true;
       when = k.now();
@@ -115,7 +115,7 @@ TEST_F(KernelTest, SendTimeoutThrows) {
   bool timed_out = false;
   k.spawn("sender", 0, [&] {
     try {
-      k.send("nobody", nullptr, 100.0, /*timeout=*/1.5);
+      k.send(k.mailbox_by_name("nobody"), nullptr, 100.0, /*timeout=*/1.5);
     } catch (const sg::xbt::TimeoutException&) {
       timed_out = true;
     }
@@ -132,14 +132,14 @@ TEST_F(KernelTest, TimeoutMidTransferCancelsPeer) {
   bool send_failed = false;
   k.spawn("sender", 0, [&] {
     try {
-      k.send("mb", nullptr, 1e12);
+      k.send(k.mailbox_by_name("mb"), nullptr, 1e12);
     } catch (const sg::xbt::NetworkFailureException&) {
       send_failed = true;
     }
   });
   k.spawn("receiver", 1, [&] {
     try {
-      k.recv("mb", 2.0);
+      k.recv(k.mailbox_by_name("mb"), 2.0);
     } catch (const sg::xbt::TimeoutException&) {
       recv_timeout = true;
     }
@@ -155,10 +155,10 @@ TEST_F(KernelTest, DetachedSendDelivers) {
   void* got = nullptr;
   int value = 7;
   k.spawn("sender", 0, [&] {
-    k.send_detached("mb", &value, 1e8);
+    k.send_detached(k.mailbox_by_name("mb"), &value, 1e8);
     sender_free_at = k.now();  // immediately free
   });
-  k.spawn("receiver", 1, [&] { got = k.recv("mb"); });
+  k.spawn("receiver", 1, [&] { got = k.recv(k.mailbox_by_name("mb")); });
   k.run();
   EXPECT_DOUBLE_EQ(sender_free_at, 0.0);
   EXPECT_EQ(got, &value);
@@ -168,15 +168,15 @@ TEST_F(KernelTest, AsyncCommsOverlap) {
   Kernel k(two_hosts());
   double done_at = -1;
   k.spawn("sender", 0, [&] {
-    auto c1 = k.send_async("mb1", nullptr, 1e8);
-    auto c2 = k.send_async("mb2", nullptr, 1e8);
+    auto c1 = k.send_async(k.mailbox_by_name("mb1"), nullptr, 1e8);
+    auto c2 = k.send_async(k.mailbox_by_name("mb2"), nullptr, 1e8);
     k.comm_wait(c1);
     k.comm_wait(c2);
     done_at = k.now();
   });
   k.spawn("receiver", 1, [&] {
-    auto c1 = k.recv_async("mb1");
-    auto c2 = k.recv_async("mb2");
+    auto c1 = k.recv_async(k.mailbox_by_name("mb1"));
+    auto c2 = k.recv_async(k.mailbox_by_name("mb2"));
     k.comm_wait(c2);
     k.comm_wait(c1);
   });
@@ -190,10 +190,10 @@ TEST_F(KernelTest, CommTestPolling) {
   int polls = 0;
   k.spawn("sender", 0, [&] {
     k.sleep_for(1.0);
-    k.send("mb", nullptr, 1e8);
+    k.send(k.mailbox_by_name("mb"), nullptr, 1e8);
   });
   k.spawn("receiver", 1, [&] {
-    auto c = k.recv_async("mb");
+    auto c = k.recv_async(k.mailbox_by_name("mb"));
     while (!k.comm_test(c)) {
       ++polls;
       k.sleep_for(0.5);
@@ -260,10 +260,10 @@ TEST_F(KernelTest, KillActorRunsRaii) {
 TEST_F(KernelTest, KillWakesBlockedPeer) {
   Kernel k(two_hosts());
   bool peer_failed = false;
-  ActorId receiver = k.spawn("receiver", 1, [&] { k.recv("mb"); });
+  ActorId receiver = k.spawn("receiver", 1, [&] { k.recv(k.mailbox_by_name("mb")); });
   k.spawn("sender", 0, [&] {
     try {
-      k.send("mb", nullptr, 1e12);  // huge transfer
+      k.send(k.mailbox_by_name("mb"), nullptr, 1e12);  // huge transfer
     } catch (const sg::xbt::NetworkFailureException&) {
       peer_failed = true;
     }
@@ -338,7 +338,7 @@ TEST_F(KernelTest, DaemonsDoNotBlockTermination) {
 
 TEST_F(KernelTest, DeadlockDetected) {
   Kernel k(two_hosts());
-  k.spawn("stuck", 0, [&] { k.recv("never"); });
+  k.spawn("stuck", 0, [&] { k.recv(k.mailbox_by_name("never")); });
   k.run();
   EXPECT_TRUE(k.deadlocked());
 }
@@ -394,12 +394,12 @@ TEST_F(KernelTest, DeterministicReplay) {
     for (int i = 0; i < 5; ++i) {
       k.spawn("w" + std::to_string(i), i % 2, [&, i] {
         k.execute(1e8 * (i + 1));
-        k.send("sink", nullptr, 1e6 * (i + 1));
+        k.send(k.mailbox_by_name("sink"), nullptr, 1e6 * (i + 1));
       });
     }
     k.spawn("sink", 0, [&] {
       for (int i = 0; i < 5; ++i) {
-        k.recv("sink");
+        k.recv(k.mailbox_by_name("sink"));
         times.push_back(k.now());
       }
     });
@@ -449,6 +449,88 @@ TEST_F(KernelTest, UncaughtActorExceptionIsContained) {
   });
   k.run();  // must not crash
   EXPECT_TRUE(other_ran);
+}
+
+// A killed actor's cleanup kills a partner whose exit callback kills the
+// first actor back: that second kill finds the unwind already under way and
+// is a no-op, so both end and the run returns.
+TEST_F(KernelTest, KillCycleThroughCleanupAndExitCallback) {
+  Kernel k(two_hosts());
+  ActorId victim = -1;
+  const ActorId partner = k.spawn("partner", 1, [&] { k.sleep_for(100.0); });
+  k.actor(partner)->on_exit([&](bool) { k.kill(victim); });
+  struct KillOnUnwind {
+    Kernel& k;
+    ActorId target;
+    ~KillOnUnwind() { k.kill(target); }
+  };
+  victim = k.spawn("victim", 0, [&] {
+    KillOnUnwind guard{k, partner};
+    k.sleep_for(100.0);
+  });
+  k.spawn("killer", 1, [&] {
+    k.sleep_for(1.0);
+    k.kill(victim);
+  });
+  const double end = k.run();
+  EXPECT_FALSE(k.is_alive(victim));
+  EXPECT_FALSE(k.is_alive(partner));
+  EXPECT_DOUBLE_EQ(end, 1.0);
+}
+
+// A quantum that starts right after a non-blocking simcall (here a spawn)
+// must behave like one that starts a scheduling round: the same step parks
+// at the same point, costs the same wakeups and context switches, and lands
+// at the same place in the interleaving.
+TEST_F(KernelTest, ContinuationQuantumBehavesLikeRoundQuantum) {
+  enum class Step { kWaitOnFinishedComm, kFirstUseIntern };
+  struct Outcome {
+    std::vector<std::string> log;
+    std::uint64_t wakeups = 0;
+    std::uint64_t switches = 0;
+  };
+  auto run = [this](Step step, bool after_spawn) {
+    Kernel k(two_hosts());
+    Outcome out;
+    k.spawn("rx", 1, [&] { k.recv(k.mailbox_by_name("mb")); });
+    // Spawned before w so that w runs last in every round's batch.
+    for (int p = 0; p < 2; ++p)
+      k.spawn("p" + std::to_string(p), p, [&, p] {
+        k.sleep_for(1.0);
+        for (int i = 0; i < 5; ++i) {
+          out.log.push_back("p" + std::to_string(p) + ":" + std::to_string(i));
+          k.yield_now();
+        }
+      });
+    k.spawn("w", 0, [&] {
+      const CommPtr sent = k.send_async(k.mailbox_by_name("mb"), nullptr, 1e3);
+      k.sleep_for(1.0);  // the 1e3-byte transfer is long finished by now
+      if (after_spawn) {
+        k.yield_now();
+        k.spawn("child", 0, [] {});  // non-blocking: the step follows in the same commit
+      } else {
+        k.spawn("child", 0, [] {});
+        k.yield_now();  // the step starts the next round's quantum
+      }
+      if (step == Step::kWaitOnFinishedComm)
+        k.comm_wait(sent);
+      else
+        k.mailbox_by_name("fresh");
+      out.log.push_back("w:after-step");
+    });
+    const Kernel::Stats before = k.stats();
+    k.run();
+    out.wakeups = k.stats().wakeups - before.wakeups;
+    out.switches = k.stats().context_switches - before.context_switches;
+    return out;
+  };
+  for (Step step : {Step::kWaitOnFinishedComm, Step::kFirstUseIntern}) {
+    const Outcome round_start = run(step, false);
+    const Outcome continuation = run(step, true);
+    EXPECT_EQ(round_start.log, continuation.log);
+    EXPECT_EQ(round_start.wakeups, continuation.wakeups);
+    EXPECT_EQ(round_start.switches, continuation.switches);
+  }
 }
 
 }  // namespace

@@ -406,7 +406,7 @@ TEST_F(MembershipTest, RetrySendRidesOutDepartureAndReturn) {
   std::atomic<bool> sent_ok{false};
 
   register_rejoin_daemon(k, "worker", 2, [&] {
-    void* raw = k.recv("inbox");
+    void* raw = k.recv(k.mailbox_by_name("inbox"));
     received += static_cast<int>(reinterpret_cast<std::intptr_t>(raw));
     k.sleep_for(1e9);
   });

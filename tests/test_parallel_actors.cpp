@@ -137,7 +137,7 @@ SweepResult run_flapping_master_worker(bool parallel, int lanes, unsigned seed) 
     for (int t = 1; t <= n_tasks; ++t) {
       const int w = static_cast<int>(rng.uniform_int(0, n_workers - 1));
       try {
-        k.send("tasks:" + std::to_string(w),
+        k.send(k.mailbox_by_name("tasks:" + std::to_string(w)),
                reinterpret_cast<void*>(static_cast<std::intptr_t>(t)), 1e5, /*timeout=*/1.5);
         void* ack = k.recv(results, /*timeout=*/1.5);
         ++res.completions;
