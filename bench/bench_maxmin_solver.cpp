@@ -137,6 +137,38 @@ void BM_ChurnFullResolve(benchmark::State& state) {
 }
 BENCHMARK(BM_ChurnFullResolve)->RangeMultiplier(4)->Range(160, 10240)->Complexity();
 
+// --- churn next to a wide backbone: N flows, each crossing its private link
+// and one shared backbone fatpipe (the cluster/WAN shape). Each event
+// suspends or resumes one flow (set_weight to 0 or back, as the engine does)
+// and re-solves; no incidence list changes, so the event is the re-solve
+// alone. The fatpipe cap is read from the churned flow's own incidences, so
+// the per-event time must be flat in N. (Replacing the flow instead would
+// add release_variable's O(N) unlink from the fatpipe's user list.)
+
+void BM_ChurnOnWideFatpipe(benchmark::State& state) {
+  MaxMinSystem sys;
+  sg::xbt::Rng rng(11);
+  const auto backbone = sys.new_constraint(1e6, /*shared=*/false);
+  std::vector<MaxMinSystem::VarId> flows;
+  for (int i = 0; i < state.range(0); ++i) {
+    const auto link = sys.new_constraint(rng.uniform(50, 150));
+    flows.push_back(sys.new_variable(1.0));
+    sys.expand(link, flows.back());
+    sys.expand(backbone, flows.back());
+  }
+  sys.solve();
+  size_t cursor = 0;
+  for (auto _ : state) {
+    const auto flow = flows[cursor];
+    sys.set_weight(flow, sys.weight(flow) > 0 ? 0.0 : 1.0);
+    sys.solve();
+    benchmark::DoNotOptimize(sys.value(flow));
+    cursor = (cursor + 1) % flows.size();
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_ChurnOnWideFatpipe)->RangeMultiplier(4)->Range(16, 4096)->Complexity();
+
 }  // namespace
 
 BENCHMARK_MAIN();

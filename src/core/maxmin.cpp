@@ -44,7 +44,10 @@ void MaxMinSystem::free_node(std::int32_t n) {
 
 void MaxMinSystem::list_insert(std::int32_t& head, std::int32_t peer, double coeff) {
   if (head == kNoNode || node(head).count == kNodeEntries) {
-    // Prepend a fresh node (order within a list is irrelevant to the math).
+    // Prepend a fresh node. List order is observable: it fixes the
+    // floating-point summation order of a shared constraint's demand, and
+    // the order Engine::fail_constraint delivers failures in (which seeded
+    // workloads draw their RNG in). Any change to it changes results.
     const std::int32_t n = alloc_node();
     ElemNode& nd = node(n);
     nd.next = head;
@@ -436,11 +439,13 @@ void MaxMinSystem::closure_collect() {
   while (closure_vi_ < affected_vars_.size() || closure_ti_ < traverse_list_.size()) {
     if (closure_vi_ < affected_vars_.size()) {
       const VarId v = affected_vars_[closure_vi_++];
+      stats_.incidences_visited += static_cast<size_t>(var_link_[static_cast<size_t>(v)].degree);
       for_each_constraint_of(v, [&](CnstId c, double) {
         closure_add_cnst(c, (cnst_flags_[static_cast<size_t>(c)] & kFlagShared) != 0);
       });
     } else {
       const CnstId c = traverse_list_[closure_ti_++];
+      stats_.incidences_visited += static_cast<size_t>(cnst_core_[static_cast<size_t>(c)].degree);
       for_each_variable_on(c, [&](VarId v, double) { closure_add_var(v); });
     }
   }
@@ -507,10 +512,11 @@ void MaxMinSystem::solve_full() {
   solve_subset(affected_vars_, affected_cnsts_);
 }
 
-void MaxMinSystem::solve_subset(const std::vector<VarId>& svars, const std::vector<CnstId>& scnsts) {
-  ++stats_.solves;
-  stats_.vars_visited += svars.size();
+// Progressive filling, one step per helper. solve_subset and the sharded
+// solve_group run the same steps over their subsets, so the two passes
+// cannot drift apart.
 
+size_t MaxMinSystem::fill_begin(const std::vector<VarId>& svars, const std::vector<CnstId>& scnsts) {
   // Working state, persistent across solves. The active bit — still growing
   // (all clear between solves). `effective_bound_[i]` folds the variable's
   // own bound together with its fatpipe caps. All hot fields are SoA arrays,
@@ -525,140 +531,153 @@ void MaxMinSystem::solve_subset(const std::vector<VarId>& svars, const std::vect
     if (var_weight_[i] <= 0)
       continue;
     var_flags_[i] |= kFlagActive;
-    ++n_active;
+    if (!(var_flags_[i] & kFlagLinked))
+      ++n_active;
     if (var_bound_[i] >= 0)
       effective_bound_[i] = var_bound_[i];
   }
+  for (CnstId cid : scnsts)
+    remaining_[static_cast<size_t>(cid)] = cnst_core_[static_cast<size_t>(cid)].capacity;
 
-  // Fatpipe constraints translate to per-variable caps: cap / coeff.
-  for (CnstId cid : scnsts) {
-    const size_t c = static_cast<size_t>(cid);
-    remaining_[c] = cnst_core_[c].capacity;
-    if (cnst_flags_[c] & kFlagShared)
+  // Fatpipe constraints translate to per-variable caps: cap / coeff. They
+  // are read from each active variable's own incidence list, never from a
+  // fatpipe's user list: every constraint of a subset variable is in the
+  // subset (the closure adds them all), so this is the same set of caps,
+  // at a cost independent of how many flows share a backbone.
+  for (VarId vid : svars) {
+    const size_t i = static_cast<size_t>(vid);
+    if (!(var_flags_[i] & kFlagActive))
       continue;
-    for (std::int32_t n = cnst_core_[c].head; n != kNoNode; n = node(n).next) {
-      const ElemNode& nd = node(n);
-      for (std::int32_t k = 0; k < nd.count; ++k) {
-        const size_t i = static_cast<size_t>(nd.id[k]);
-        if (var_flags_[i] & kFlagActive)
-          effective_bound_[i] = std::min(effective_bound_[i], cnst_core_[c].capacity / nd.coeff[k]);
+    stats_.incidences_visited += static_cast<size_t>(var_link_[i].degree);
+    for_each_constraint_of(vid, [&](CnstId cid, double coeff) {
+      const size_t c = static_cast<size_t>(cid);
+      if (!(cnst_flags_[c] & kFlagShared))
+        effective_bound_[i] = std::min(effective_bound_[i], cnst_core_[c].capacity / coeff);
+    });
+  }
+  round_demand_.resize(scnsts.size());
+  return n_active;
+}
+
+double MaxMinSystem::fill_room(const std::vector<VarId>& svars, const std::vector<CnstId>& scnsts,
+                               double delta) {
+  // Growth room before the tightest shared constraint saturates. This is
+  // the round's only walk of a shared constraint's users that does not
+  // freeze: its active demand (or -1: no active user) is kept in
+  // round_demand_ for fill_grow and fill_freeze (no flag changes between).
+  for (size_t k = 0; k < scnsts.size(); ++k) {
+    const size_t c = static_cast<size_t>(scnsts[k]);
+    if (!(cnst_flags_[c] & kFlagShared))
+      continue;
+    stats_.incidences_visited += static_cast<size_t>(cnst_core_[c].degree);
+    double denom = 0;
+    bool involved = false;
+    for_each_variable_on(scnsts[k], [&](VarId vid, double coeff) {
+      const size_t i = static_cast<size_t>(vid);
+      if (var_flags_[i] & kFlagActive) {
+        denom += coeff * var_weight_[i];
+        involved = true;
       }
+    });
+    round_demand_[k] = involved ? denom : -1.0;
+    if (denom > 0)
+      delta = std::min(delta, std::max(0.0, remaining_[c]) / denom);
+  }
+  // Growth room before a variable bound is reached.
+  for (VarId vid : svars) {
+    const size_t i = static_cast<size_t>(vid);
+    if ((var_flags_[i] & kFlagActive) && effective_bound_[i] < kInf)
+      delta = std::min(delta, std::max(0.0, effective_bound_[i] - var_value_[i]) / var_weight_[i]);
+  }
+  return delta;
+}
+
+void MaxMinSystem::fill_unlimited(const std::vector<VarId>& svars) {
+  // Unconstrained variables: give them the "infinite" rate and stop.
+  for (VarId vid : svars) {
+    const size_t i = static_cast<size_t>(vid);
+    if (var_flags_[i] & kFlagActive) {
+      var_value_[i] = kUnlimited;
+      var_flags_[i] &= static_cast<unsigned char>(~kFlagActive);
     }
   }
+}
 
+void MaxMinSystem::fill_grow(const std::vector<VarId>& svars, const std::vector<CnstId>& scnsts,
+                             double delta) {
+  // Grow everyone, consume capacities. A shared constraint's consumption is
+  // the demand fill_room summed, bit for bit; one with no active user
+  // consumes nothing.
+  for (VarId vid : svars) {
+    const size_t i = static_cast<size_t>(vid);
+    if (var_flags_[i] & kFlagActive)
+      var_value_[i] += delta * var_weight_[i];
+  }
+  for (size_t k = 0; k < scnsts.size(); ++k) {
+    const size_t c = static_cast<size_t>(scnsts[k]);
+    if ((cnst_flags_[c] & kFlagShared) && round_demand_[k] >= 0)
+      remaining_[c] -= delta * round_demand_[k];
+  }
+}
+
+template <typename Freeze>
+void MaxMinSystem::fill_freeze(const std::vector<VarId>& svars, const std::vector<CnstId>& scnsts,
+                               Freeze&& freeze) {
+  // Freeze variables on saturated shared constraints that had an active
+  // user at the start of the round: an earlier constraint may have frozen
+  // all of them since, and the walk then freezes nobody, as skipping it
+  // would.
+  for (size_t k = 0; k < scnsts.size(); ++k) {
+    const size_t c = static_cast<size_t>(scnsts[k]);
+    if (!(cnst_flags_[c] & kFlagShared) || round_demand_[k] < 0 ||
+        remaining_[c] > kEps * std::max(1.0, cnst_core_[c].capacity))
+      continue;
+    stats_.incidences_visited += static_cast<size_t>(cnst_core_[c].degree);
+    for_each_variable_on(scnsts[k], [&](VarId vid, double) { freeze(static_cast<size_t>(vid)); });
+  }
+  // Freeze variables that reached their (effective) bound.
+  for (VarId vid : svars) {
+    const size_t i = static_cast<size_t>(vid);
+    if ((var_flags_[i] & kFlagActive) && effective_bound_[i] < kInf &&
+        var_value_[i] >= effective_bound_[i] - kEps * std::max(1.0, effective_bound_[i])) {
+      var_value_[i] = effective_bound_[i];
+      freeze(i);
+    }
+  }
+}
+
+void MaxMinSystem::solve_subset(const std::vector<VarId>& svars, const std::vector<CnstId>& scnsts) {
+  ++stats_.solves;
+  stats_.vars_visited += svars.size();
+
+  // No linked replica ever reaches this pass (the sharded façade co-solves
+  // them in solve_group), so fill_begin's count is every active variable.
+  size_t n_active = fill_begin(svars, scnsts);
+  size_t frozen = 0;
+  auto freeze = [&](size_t i) {
+    if (var_flags_[i] & kFlagActive) {
+      var_flags_[i] &= static_cast<unsigned char>(~kFlagActive);
+      ++frozen;
+    }
+  };
   while (n_active > 0) {
-    // Growth room before the tightest shared constraint saturates.
-    double delta = kInf;
-    for (CnstId cid : scnsts) {
-      const size_t c = static_cast<size_t>(cid);
-      if (!(cnst_flags_[c] & kFlagShared))
-        continue;
-      double denom = 0;
-      for (std::int32_t n = cnst_core_[c].head; n != kNoNode; n = node(n).next) {
-        const ElemNode& nd = node(n);
-        for (std::int32_t k = 0; k < nd.count; ++k) {
-          const size_t i = static_cast<size_t>(nd.id[k]);
-          if (var_flags_[i] & kFlagActive)
-            denom += nd.coeff[k] * var_weight_[i];
-        }
-      }
-      if (denom > 0)
-        delta = std::min(delta, std::max(0.0, remaining_[c]) / denom);
-    }
-    // Growth room before a variable bound is reached.
-    for (VarId vid : svars) {
-      const size_t i = static_cast<size_t>(vid);
-      if ((var_flags_[i] & kFlagActive) && effective_bound_[i] < kInf)
-        delta = std::min(delta, std::max(0.0, effective_bound_[i] - var_value_[i]) / var_weight_[i]);
-    }
-
+    const double delta = fill_room(svars, scnsts, kInf);
     if (delta == kInf) {
-      // Unconstrained variables: give them the "infinite" rate and stop.
-      for (VarId vid : svars) {
-        const size_t i = static_cast<size_t>(vid);
-        if (var_flags_[i] & kFlagActive) {
-          var_value_[i] = kUnlimited;
-          var_flags_[i] &= static_cast<unsigned char>(~kFlagActive);
-        }
-      }
+      fill_unlimited(svars);
       break;
     }
-
-    // Grow everyone, consume capacities.
-    for (VarId vid : svars) {
-      const size_t i = static_cast<size_t>(vid);
-      if (var_flags_[i] & kFlagActive)
-        var_value_[i] += delta * var_weight_[i];
-    }
-    for (CnstId cid : scnsts) {
-      const size_t c = static_cast<size_t>(cid);
-      if (!(cnst_flags_[c] & kFlagShared))
-        continue;
-      double used = 0;
-      for (std::int32_t n = cnst_core_[c].head; n != kNoNode; n = node(n).next) {
-        const ElemNode& nd = node(n);
-        for (std::int32_t k = 0; k < nd.count; ++k) {
-          const size_t i = static_cast<size_t>(nd.id[k]);
-          if (var_flags_[i] & kFlagActive)
-            used += nd.coeff[k] * var_weight_[i];
-        }
-      }
-      remaining_[c] -= delta * used;
-    }
-
-    // Freeze variables on saturated shared constraints.
-    size_t frozen = 0;
-    for (CnstId cid : scnsts) {
-      const size_t c = static_cast<size_t>(cid);
-      if (!(cnst_flags_[c] & kFlagShared))
-        continue;
-      bool involved = false;
-      for (std::int32_t n = cnst_core_[c].head; n != kNoNode && !involved; n = node(n).next) {
-        const ElemNode& nd = node(n);
-        for (std::int32_t k = 0; k < nd.count; ++k)
-          if (var_flags_[static_cast<size_t>(nd.id[k])] & kFlagActive) {
-            involved = true;
-            break;
-          }
-      }
-      if (!involved)
-        continue;
-      if (remaining_[c] <= kEps * std::max(1.0, cnst_core_[c].capacity)) {
-        for (std::int32_t n = cnst_core_[c].head; n != kNoNode; n = node(n).next) {
-          const ElemNode& nd = node(n);
-          for (std::int32_t k = 0; k < nd.count; ++k) {
-            const size_t i = static_cast<size_t>(nd.id[k]);
-            if (var_flags_[i] & kFlagActive) {
-              var_flags_[i] &= static_cast<unsigned char>(~kFlagActive);
-              ++frozen;
-            }
-          }
-        }
-      }
-    }
-    // Freeze variables that reached their (effective) bound.
-    for (VarId vid : svars) {
-      const size_t i = static_cast<size_t>(vid);
-      if ((var_flags_[i] & kFlagActive) && effective_bound_[i] < kInf &&
-          var_value_[i] >= effective_bound_[i] - kEps * std::max(1.0, effective_bound_[i])) {
-        var_value_[i] = effective_bound_[i];
-        var_flags_[i] &= static_cast<unsigned char>(~kFlagActive);
-        ++frozen;
-      }
-    }
-
+    fill_grow(svars, scnsts, delta);
+    frozen = 0;
+    fill_freeze(svars, scnsts, freeze);
     if (frozen == 0) {
       // delta chosen as an exact saturation point must freeze someone;
-      // if numerical dust prevented it, force-freeze the tightest variable
-      // to guarantee termination.
-      for (VarId vid : svars) {
-        const size_t i = static_cast<size_t>(vid);
-        if (var_flags_[i] & kFlagActive) {
-          var_flags_[i] &= static_cast<unsigned char>(~kFlagActive);
-          ++frozen;
+      // if numerical dust prevented it, force-freeze the first active
+      // variable to guarantee termination.
+      for (VarId vid : svars)
+        if (var_flags_[static_cast<size_t>(vid)] & kFlagActive) {
+          freeze(static_cast<size_t>(vid));
           break;
         }
-      }
     }
     n_active -= frozen;
   }
@@ -1016,6 +1035,7 @@ MaxMinSystem::SolveStats ShardedMaxMin::solve_stats() const {
     total.solves += m.stats_.solves;
     total.full_solves += m.stats_.full_solves;
     total.vars_visited += m.stats_.vars_visited;
+    total.incidences_visited += m.stats_.incidences_visited;
   }
   return total;
 }
@@ -1277,16 +1297,16 @@ void ShardedMaxMin::solve_full() {
 }
 
 /// Joint progressive filling over one coupled group's affected subsets.
-/// Mirrors MaxMinSystem::solve_subset exactly, with one twist: the replicas
-/// of a linked logical variable are one activity. They share the growth
-/// (identical delta * weight updates keep their values bitwise equal), their
-/// effective bound is the min over every shard's caps, and freezing any
-/// replica freezes all of them with the freezing replica's value. Touches
-/// only gr's shards (plus read-only façade tables), so independent groups
-/// run concurrently on worker lanes; changed detection stays in solve().
+/// Mirrors MaxMinSystem::solve_subset exactly — it runs the same fill_*
+/// steps on each shard's subset — with one twist: the replicas of a linked
+/// logical variable are one activity. They share the growth (identical
+/// delta * weight updates keep their values bitwise equal), their effective
+/// bound is the min over every shard's caps, and freezing any replica
+/// freezes all of them with the freezing replica's value. Touches only gr's
+/// shards (plus read-only façade tables), so independent groups run
+/// concurrently on worker lanes; changed detection stays in solve().
 void ShardedMaxMin::solve_group(Group& gr) {
   size_t n_active = 0;
-
   for (ShardId s : gr.shards) {
     MaxMinSystem& m = shards_[static_cast<size_t>(s)];
     m.changed_vars_.clear();
@@ -1294,37 +1314,8 @@ void ShardedMaxMin::solve_group(Group& gr) {
     if (m.closure_was_full_)
       ++m.stats_.full_solves;
     m.stats_.vars_visited += m.affected_vars_.size();
-    m.old_values_.resize(m.affected_vars_.size());
-    for (size_t k = 0; k < m.affected_vars_.size(); ++k) {
-      const size_t i = static_cast<size_t>(m.affected_vars_[k]);
-      m.old_values_[k] = m.var_value_[i];
-      m.var_value_[i] = 0;
-      m.effective_bound_[i] = kInf;
-      if (m.var_weight_[i] <= 0)
-        continue;
-      m.var_flags_[i] |= MaxMinSystem::kFlagActive;
-      // Linked logical variables are counted once, below.
-      if (!(m.var_flags_[i] & MaxMinSystem::kFlagLinked))
-        ++n_active;
-      if (m.var_bound_[i] >= 0)
-        m.effective_bound_[i] = m.var_bound_[i];
-    }
-    // Fatpipe constraints translate to per-variable caps: cap / coeff.
-    for (MaxMinSystem::CnstId cid : m.affected_cnsts_) {
-      const size_t c = static_cast<size_t>(cid);
-      m.remaining_[c] = m.cnst_core_[c].capacity;
-      if (m.cnst_flags_[c] & MaxMinSystem::kFlagShared)
-        continue;
-      for (std::int32_t nd = m.cnst_core_[c].head; nd != MaxMinSystem::kNoNode; nd = m.node(nd).next) {
-        const MaxMinSystem::ElemNode& en = m.node(nd);
-        for (std::int32_t k = 0; k < en.count; ++k) {
-          const size_t i = static_cast<size_t>(en.id[k]);
-          if (m.var_flags_[i] & MaxMinSystem::kFlagActive)
-            m.effective_bound_[i] =
-                std::min(m.effective_bound_[i], m.cnst_core_[c].capacity / en.coeff[k]);
-        }
-      }
-    }
+    // Linked logical variables are counted once, below.
+    n_active += m.fill_begin(m.affected_vars_, m.affected_cnsts_);
   }
 
   // Linked logical variables: fold every shard's caps into one shared
@@ -1371,130 +1362,42 @@ void ShardedMaxMin::solve_group(Group& gr) {
   };
 
   while (n_active > 0) {
-    // Growth room before the tightest shared constraint saturates or a
-    // variable bound is reached — the min is global across the group.
+    // The growth room is the min across the whole group.
     double delta = kInf;
     for (ShardId s : gr.shards) {
       MaxMinSystem& m = shards_[static_cast<size_t>(s)];
-      for (MaxMinSystem::CnstId cid : m.affected_cnsts_) {
-        const size_t c = static_cast<size_t>(cid);
-        if (!(m.cnst_flags_[c] & MaxMinSystem::kFlagShared))
-          continue;
-        double denom = 0;
-        for (std::int32_t nd = m.cnst_core_[c].head; nd != MaxMinSystem::kNoNode;
-             nd = m.node(nd).next) {
-          const MaxMinSystem::ElemNode& en = m.node(nd);
-          for (std::int32_t k = 0; k < en.count; ++k) {
-            const size_t i = static_cast<size_t>(en.id[k]);
-            if (m.var_flags_[i] & MaxMinSystem::kFlagActive)
-              denom += en.coeff[k] * m.var_weight_[i];
-          }
-        }
-        if (denom > 0)
-          delta = std::min(delta, std::max(0.0, m.remaining_[c]) / denom);
-      }
-      for (MaxMinSystem::VarId vid : m.affected_vars_) {
-        const size_t i = static_cast<size_t>(vid);
-        if ((m.var_flags_[i] & MaxMinSystem::kFlagActive) && m.effective_bound_[i] < kInf)
-          delta = std::min(delta,
-                           std::max(0.0, m.effective_bound_[i] - m.var_value_[i]) / m.var_weight_[i]);
-      }
+      delta = m.fill_room(m.affected_vars_, m.affected_cnsts_, delta);
     }
-
     if (delta == kInf) {
-      // Unconstrained variables: give them the "infinite" rate and stop.
       for (ShardId s : gr.shards) {
         MaxMinSystem& m = shards_[static_cast<size_t>(s)];
-        for (MaxMinSystem::VarId vid : m.affected_vars_) {
-          const size_t i = static_cast<size_t>(vid);
-          if (m.var_flags_[i] & MaxMinSystem::kFlagActive) {
-            m.var_value_[i] = kUnlimited;
-            m.var_flags_[i] &= static_cast<unsigned char>(~MaxMinSystem::kFlagActive);
-          }
-        }
+        m.fill_unlimited(m.affected_vars_);
       }
       break;
     }
-
-    // Grow everyone, consume capacities. Replicas of a linked variable apply
-    // the identical update in each shard, so their values stay equal.
+    // Replicas of a linked variable apply the identical update in each
+    // shard, so their values stay equal.
     for (ShardId s : gr.shards) {
       MaxMinSystem& m = shards_[static_cast<size_t>(s)];
-      for (MaxMinSystem::VarId vid : m.affected_vars_) {
-        const size_t i = static_cast<size_t>(vid);
-        if (m.var_flags_[i] & MaxMinSystem::kFlagActive)
-          m.var_value_[i] += delta * m.var_weight_[i];
-      }
-      for (MaxMinSystem::CnstId cid : m.affected_cnsts_) {
-        const size_t c = static_cast<size_t>(cid);
-        if (!(m.cnst_flags_[c] & MaxMinSystem::kFlagShared))
-          continue;
-        double used = 0;
-        for (std::int32_t nd = m.cnst_core_[c].head; nd != MaxMinSystem::kNoNode;
-             nd = m.node(nd).next) {
-          const MaxMinSystem::ElemNode& en = m.node(nd);
-          for (std::int32_t k = 0; k < en.count; ++k) {
-            const size_t i = static_cast<size_t>(en.id[k]);
-            if (m.var_flags_[i] & MaxMinSystem::kFlagActive)
-              used += en.coeff[k] * m.var_weight_[i];
-          }
-        }
-        m.remaining_[c] -= delta * used;
-      }
+      m.fill_grow(m.affected_vars_, m.affected_cnsts_, delta);
     }
-
-    // Freeze variables on saturated shared constraints, then those that
-    // reached their bound. Freezing a linked replica freezes its siblings.
+    // Freezing a linked replica freezes its siblings.
     frozen = 0;
     for (ShardId s : gr.shards) {
       MaxMinSystem& m = shards_[static_cast<size_t>(s)];
-      for (MaxMinSystem::CnstId cid : m.affected_cnsts_) {
-        const size_t c = static_cast<size_t>(cid);
-        if (!(m.cnst_flags_[c] & MaxMinSystem::kFlagShared))
-          continue;
-        bool involved = false;
-        for (std::int32_t nd = m.cnst_core_[c].head; nd != MaxMinSystem::kNoNode && !involved;
-             nd = m.node(nd).next) {
-          const MaxMinSystem::ElemNode& en = m.node(nd);
-          for (std::int32_t k = 0; k < en.count; ++k)
-            if (m.var_flags_[static_cast<size_t>(en.id[k])] & MaxMinSystem::kFlagActive) {
-              involved = true;
-              break;
-            }
-        }
-        if (!involved)
-          continue;
-        if (m.remaining_[c] <= kEps * std::max(1.0, m.cnst_core_[c].capacity)) {
-          for (std::int32_t nd = m.cnst_core_[c].head; nd != MaxMinSystem::kNoNode;
-               nd = m.node(nd).next) {
-            const MaxMinSystem::ElemNode& en = m.node(nd);
-            for (std::int32_t k = 0; k < en.count; ++k)
-              freeze_var(s, static_cast<size_t>(en.id[k]));
-          }
-        }
-      }
-      for (MaxMinSystem::VarId vid : m.affected_vars_) {
-        const size_t i = static_cast<size_t>(vid);
-        if ((m.var_flags_[i] & MaxMinSystem::kFlagActive) && m.effective_bound_[i] < kInf &&
-            m.var_value_[i] >= m.effective_bound_[i] - kEps * std::max(1.0, m.effective_bound_[i])) {
-          m.var_value_[i] = m.effective_bound_[i];
-          freeze_var(s, i);
-        }
-      }
+      m.fill_freeze(m.affected_vars_, m.affected_cnsts_, [&](size_t i) { freeze_var(s, i); });
     }
-
     if (frozen == 0) {
       // delta chosen as an exact saturation point must freeze someone; if
-      // numerical dust prevented it, force-freeze the tightest variable to
-      // guarantee termination.
+      // numerical dust prevented it, force-freeze the first active variable
+      // to guarantee termination.
       for (ShardId s : gr.shards) {
-        MaxMinSystem& m = shards_[static_cast<size_t>(s)];
-        for (MaxMinSystem::VarId vid : m.affected_vars_) {
+        const MaxMinSystem& m = shards_[static_cast<size_t>(s)];
+        for (MaxMinSystem::VarId vid : m.affected_vars_)
           if (m.var_flags_[static_cast<size_t>(vid)] & MaxMinSystem::kFlagActive) {
             freeze_var(s, static_cast<size_t>(vid));
             break;
           }
-        }
         if (frozen > 0)
           break;
       }

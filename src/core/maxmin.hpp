@@ -36,7 +36,14 @@
 ///    have changed;
 ///  * progressive filling then runs restricted to that closure. Allocations
 ///    of untouched components are left frozen, so the per-event cost is
-///    O(affected subgraph), not O(whole system);
+///    O(affected variables' incidences + filling rounds x affected shared
+///    incidences), not O(whole system). A fatpipe caps its users one by one,
+///    so its cap is read from each affected variable's own incidence list,
+///    never from the fatpipe's user list: a backbone shared by thousands of
+///    flows costs a churn solve nothing beyond the churned flow's entry.
+///    Each round walks each affected shared constraint once for its demand
+///    (kept for the capacity update) and once more only if it saturates.
+///    SolveStats::incidences_visited counts these walks;
 ///  * when the closure covers more than half of the live variables, solve()
 ///    falls back to solve_full() — the from-scratch path, also available
 ///    directly for equivalence testing;
@@ -250,6 +257,9 @@ public:
     size_t solves = 0;        ///< solve() calls that had dirty work to do
     size_t full_solves = 0;   ///< of which ran the from-scratch path
     size_t vars_visited = 0;  ///< cumulative size of the re-solved subsets
+    /// Incidence-list entries read by closure collection and filling (a
+    /// walk adds the list's degree): the solver's work counter.
+    size_t incidences_visited = 0;
   };
   const SolveStats& solve_stats() const { return stats_; }
 
@@ -322,8 +332,25 @@ public:
   void closure_add_cnst(CnstId c, bool traverse);
 
   /// Progressive filling restricted to the given variables/constraints.
-  /// Every live variable of a listed constraint must be listed too.
+  /// Every live variable of a listed shared constraint, and every
+  /// constraint of a listed variable, must be listed too (a closure is).
   void solve_subset(const std::vector<VarId>& svars, const std::vector<CnstId>& scnsts);
+
+  // The steps of one filling pass over a subset, shared with the sharded
+  // group solve. fill_begin resets the subset (values, active bits,
+  // effective bounds with fatpipe caps, remaining capacities) and returns
+  // the number of active variables not flagged kFlagLinked. Each round then
+  // runs fill_room (one walk per shared constraint; returns min(delta, the
+  // subset's growth room) and records each demand in round_demand_),
+  // fill_grow, and fill_freeze (calls freeze(var index) for every user of a
+  // saturated shared constraint and every variable at its bound; freeze
+  // must ignore inactive variables).
+  size_t fill_begin(const std::vector<VarId>& svars, const std::vector<CnstId>& scnsts);
+  double fill_room(const std::vector<VarId>& svars, const std::vector<CnstId>& scnsts, double delta);
+  void fill_unlimited(const std::vector<VarId>& svars);
+  void fill_grow(const std::vector<VarId>& svars, const std::vector<CnstId>& scnsts, double delta);
+  template <typename Freeze>
+  void fill_freeze(const std::vector<VarId>& svars, const std::vector<CnstId>& scnsts, Freeze&& freeze);
 
   // -- arena storage ---------------------------------------------------------
   std::vector<std::unique_ptr<ElemNode[]>> chunks_;
@@ -387,6 +414,11 @@ public:
   std::vector<double> effective_bound_;
   std::vector<double> remaining_;
   std::vector<double> old_values_;        ///< parallel to the subset list
+  /// Parallel to the subset's constraint list: a shared constraint's active
+  /// demand this round, or -1 when it had no active user ("has an active
+  /// user" is kept apart from demand > 0, which an underflowing product
+  /// could clear).
+  std::vector<double> round_demand_;
 };
 
 /// Façade over per-shard MaxMinSystem instances (see the header comment for

@@ -10,15 +10,22 @@
 ///
 /// ## Endpoint lifetime invariant
 ///
-/// `sender` / `receiver` are raw pointers into the kernel's actor arena,
-/// and a dead actor's slot may be reaped and reused. The pointers are
-/// therefore only dereferenced while the matching `*_waiting` flag is true
-/// and the comm is not kFinished: a waiting party is blocked on this very
-/// comm, hence alive. Every path that finishes a comm (completion, timeout,
+/// `sender_slot` / `receiver_slot` index the kernel's actor arena, and a
+/// dead actor's slot may be reaped and reused. A slot is therefore only
+/// resolved to its actor while the matching `*_waiting` flag is true and
+/// the comm is not kFinished: a waiting party is blocked on this very comm,
+/// hence alive. Every path that finishes a comm (completion, timeout,
 /// cancel, kill, failure) marks it kFinished *before* the owning actors can
 /// die, and all wake paths check the state first. Anything needed after the
 /// comm is over — who sent, between which hosts — is stored by value
-/// (`sender_id`, `src_host`, ...), never read through the pointers.
+/// (`sender_id`, `src_host`, ...).
+///
+/// A queued comm whose poster never waited on it (`recv_async`, a
+/// non-detached `send_async`) can outlive that actor. Matching checks the
+/// poster first: if the kernel's slot table no longer names `sender_id` /
+/// `receiver_id` for the slot, the comm is an orphan and is withdrawn
+/// (kFinished, kCanceled) instead of matched. Detached sends are exempt:
+/// they outlive their sender by design.
 #pragma once
 
 #include <cstdint>
@@ -47,9 +54,9 @@ struct Comm {
   bool sender_waiting = false;
   bool receiver_waiting = false;
 
-  Actor* sender = nullptr;    ///< see the endpoint lifetime invariant above
-  Actor* receiver = nullptr;
-  ActorId sender_id = -1;     ///< by-value copies, safe after the actors die
+  std::uint32_t sender_slot = 0;  ///< see the endpoint lifetime invariant above
+  std::uint32_t receiver_slot = 0;
+  ActorId sender_id = -1;  ///< by-value copies, safe after the actors die
   ActorId receiver_id = -1;
   std::int32_t src_host = -1;
   std::int32_t dst_host = -1;

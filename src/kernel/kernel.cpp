@@ -143,12 +143,15 @@ Actor* Kernel::allocate_actor(ActorId id, const std::string& name, int host, std
     free_slots_.pop_back();
   } else {
     s = slot_high_++;
-    if ((s >> kChunkShift) >= chunks_.size())
+    if ((s >> kChunkShift) >= chunks_.size()) {
       chunks_.push_back(std::make_unique<ActorChunk>());
+      slot_owner_.resize(chunks_.size() * kChunkSize, -1);
+    }
   }
   void* raw = chunks_[s >> kChunkShift]->raw + sizeof(Actor) * (s & (kChunkSize - 1));
   Actor* a = new (raw) Actor(id, name, host, std::move(body), daemon, auto_restart);
   a->slot_ = s;
+  slot_owner_[s] = id;
   return a;
 }
 
@@ -345,6 +348,7 @@ void Kernel::handle_actor_end(Actor* a) {
   if (a->state_ == Actor::State::kDead)
     return;
   a->state_ = Actor::State::kDead;
+  slot_owner_[a->slot_] = -1;  // orphans its un-waited queued comms (comm.hpp)
   a->pending_ = nullptr;
   ++a->timer_gen_;
   if (a->blocked_action_) {
@@ -802,10 +806,10 @@ CommPtr Kernel::send_async(MailboxId mb, void* payload, double bytes, double rat
 
 CommPtr Kernel::send_async_impl(Actor* a, MailboxId mb, void* payload, double bytes, double rate) {
   Mailbox& box = mailbox_ref(mb);
-  if (!box.queued_recvs.empty()) {
+  if (drop_orphans(box.queued_recvs)) {
     CommPtr comm = box.queued_recvs.front();
     box.queued_recvs.pop_front();
-    comm->sender = a;
+    comm->sender_slot = a->slot_;
     comm->sender_id = a->id_;
     comm->src_host = a->host_;
     comm->payload = payload;
@@ -824,7 +828,7 @@ CommPtr Kernel::send_async_impl(Actor* a, MailboxId mb, void* payload, double by
   CommPtr comm = make_comm(a);
   comm->mailbox = mb;
   comm->state = Comm::State::kQueuedSend;
-  comm->sender = a;
+  comm->sender_slot = a->slot_;
   comm->sender_id = a->id_;
   comm->src_host = a->host_;
   comm->payload = payload;
@@ -848,10 +852,10 @@ CommPtr Kernel::recv_async(MailboxId mb) {
 
 CommPtr Kernel::recv_async_impl(Actor* a, MailboxId mb) {
   Mailbox& box = mailbox_ref(mb);
-  if (!box.queued_sends.empty()) {
+  if (drop_orphans(box.queued_sends)) {
     CommPtr comm = box.queued_sends.front();
     box.queued_sends.pop_front();
-    comm->receiver = a;
+    comm->receiver_slot = a->slot_;
     comm->receiver_id = a->id_;
     comm->dst_host = a->host_;
     if (self() != nullptr) {
@@ -865,11 +869,26 @@ CommPtr Kernel::recv_async_impl(Actor* a, MailboxId mb) {
   CommPtr comm = make_comm(a);
   comm->mailbox = mb;
   comm->state = Comm::State::kQueuedRecv;
-  comm->receiver = a;
+  comm->receiver_slot = a->slot_;
   comm->receiver_id = a->id_;
   comm->dst_host = a->host_;
   box.queued_recvs.push_back(comm);
   return comm;
+}
+
+bool Kernel::drop_orphans(std::deque<CommPtr>& q) {
+  while (!q.empty()) {
+    Comm& c = *q.front();
+    const bool live = c.state == Comm::State::kQueuedRecv
+                          ? slot_owner_[c.receiver_slot] == c.receiver_id
+                          : c.detached || slot_owner_[c.sender_slot] == c.sender_id;
+    if (live)
+      return true;
+    c.state = Comm::State::kFinished;
+    c.result = WakeStatus::kCanceled;
+    q.pop_front();
+  }
+  return false;
 }
 
 void Kernel::start_comm(const CommPtr& comm) {
@@ -887,10 +906,10 @@ void Kernel::finish_comm(const CommPtr& comm, WakeStatus result) {
   // very communication (a straggler event must never wake an actor that has
   // meanwhile blocked on something else). A waiting party is, by the
   // endpoint lifetime invariant (comm.hpp), necessarily alive.
-  if (comm->receiver != nullptr && comm->receiver_waiting && comm->receiver->blocked_comm_ == comm)
-    wake(comm->receiver, result);
-  if (comm->sender != nullptr && comm->sender_waiting && comm->sender->blocked_comm_ == comm)
-    wake(comm->sender, result);
+  if (comm->receiver_waiting && slot(comm->receiver_slot)->blocked_comm_ == comm)
+    wake(slot(comm->receiver_slot), result);
+  if (comm->sender_waiting && slot(comm->sender_slot)->blocked_comm_ == comm)
+    wake(slot(comm->sender_slot), result);
 }
 
 void* Kernel::comm_wait(const CommPtr& comm, double timeout) {
@@ -982,7 +1001,7 @@ bool Kernel::comm_waiting(MailboxId mb) {
     record_and_park(a, rec);
     return rec.flag_result;
   }
-  return !mailbox_ref(mb).queued_sends.empty();
+  return drop_orphans(mailbox_ref(mb).queued_sends);
 }
 
 bool Kernel::comm_test(const CommPtr& comm) {
@@ -1050,11 +1069,8 @@ void Kernel::fire_due_timers() {
       } else if (comm->state == Comm::State::kStarted) {
         comm->state = Comm::State::kFinished;
         comm->result = WakeStatus::kCanceled;
-        const bool a_is_sender = comm->sender_id == a->id_;
-        Actor* peer = a_is_sender ? comm->receiver : comm->sender;
         wake(a, WakeStatus::kTimeout);
-        if (peer != nullptr && (a_is_sender ? comm->receiver_waiting : comm->sender_waiting))
-          wake(peer, WakeStatus::kNetworkFailure);
+        fail_waiting_peer(*comm, a);
         if (comm->action)
           comm->action->cancel();
       } else {
@@ -1081,6 +1097,12 @@ void Kernel::remove_from_mailbox(const CommPtr& comm) {
   scrub(box.queued_recvs);
 }
 
+void Kernel::fail_waiting_peer(const Comm& comm, const Actor* a) {
+  if (comm.sender_id == a->id_ ? comm.receiver_waiting : comm.sender_waiting)
+    wake(slot(comm.sender_id == a->id_ ? comm.receiver_slot : comm.sender_slot),
+         WakeStatus::kNetworkFailure);
+}
+
 void Kernel::detach_from_comm(Actor* a) {
   if (a->blocked_comm_ == nullptr)
     return;
@@ -1095,17 +1117,11 @@ void Kernel::detach_from_comm(Actor* a) {
     // cancel; just fail the peer if it is already waiting.
     comm->state = Comm::State::kFinished;
     comm->result = WakeStatus::kCanceled;
-    const bool a_is_sender = comm->sender_id == a->id_;
-    Actor* peer = a_is_sender ? comm->receiver : comm->sender;
-    if (peer != nullptr && (a_is_sender ? comm->receiver_waiting : comm->sender_waiting))
-      wake(peer, WakeStatus::kNetworkFailure);
+    fail_waiting_peer(*comm, a);
   } else if (comm->state == Comm::State::kStarted) {
     comm->state = Comm::State::kFinished;
     comm->result = WakeStatus::kCanceled;
-    const bool a_is_sender = comm->sender_id == a->id_;
-    Actor* peer = a_is_sender ? comm->receiver : comm->sender;
-    if (peer != nullptr && (a_is_sender ? comm->receiver_waiting : comm->sender_waiting))
-      wake(peer, WakeStatus::kNetworkFailure);
+    fail_waiting_peer(*comm, a);
     if (comm->action)
       comm->action->cancel();
   }

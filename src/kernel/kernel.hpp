@@ -125,11 +125,13 @@ public:
   /// sending actor's id.
   void* recv(MailboxId mailbox, double timeout = -1.0, ActorId* source = nullptr);
 
-  /// Asynchronous variants (used by SMPI's Isend/Irecv).
+  /// Asynchronous variants (used by SMPI's Isend/Irecv). A comm its actor
+  /// never waits on is withdrawn, unmatched, once the actor ends (comm.hpp).
   CommPtr send_async(MailboxId mailbox, void* payload, double bytes, double rate = -1.0);
   CommPtr recv_async(MailboxId mailbox);
 
-  /// Is a send already queued on this mailbox? (message probe)
+  /// Is a send from a live sender (or a detached one) queued on this
+  /// mailbox? (message probe)
   bool comm_waiting(MailboxId mailbox);
 
   /// Wait for an async comm; throws like send/recv. Returns the payload.
@@ -263,6 +265,11 @@ private:
   void handle_action_event(const core::ActionEvent& ev);
   void fire_due_timers();
   void detach_from_comm(Actor* a);
+  /// Wake the other party of `a`'s comm with a network failure, if it waits.
+  void fail_waiting_peer(const Comm& comm, const Actor* a);
+  /// Withdraw the orphans at the front of a mailbox queue (endpoint lifetime
+  /// invariant, comm.hpp); true when a live comm is left at the front.
+  bool drop_orphans(std::deque<CommPtr>& q);
   void kill_internal(Actor* a, bool by_failure);
   void process_resource_changes();
   void remove_from_mailbox(const CommPtr& comm);
@@ -278,6 +285,9 @@ private:
   std::vector<std::unique_ptr<ActorChunk>> chunks_;
   std::vector<std::uint32_t> free_slots_;
   std::uint32_t slot_high_ = 0;  ///< slots carved so far
+  /// Per slot: id of the live actor in it, -1 once it ended. Written only
+  /// serially; quanta read it to spot orphaned queued comms.
+  std::vector<ActorId> slot_owner_;
   std::unordered_map<ActorId, std::uint32_t> id_to_slot_;  ///< live + zombie actors
   ActorId next_actor_id_ = 1;
   std::vector<std::int32_t> host_live_head_;  ///< per host: first live resident slot

@@ -404,4 +404,60 @@ TEST_F(ActorRuntimeTest, NonBlockingSimcallsCompleteDuringKillUnwind) {
   }
 }
 
+// Comms an actor posted and never waited on must not outlive it as match
+// partners: once the actor is killed or its body ends, its queued
+// recv_async and non-detached send_async are withdrawn, so a later partner
+// times out instead of "completing" with nobody on the other side. A
+// detached send still outlives its sender and delivers.
+TEST_F(ActorRuntimeTest, DeadActorsQueuedCommsNeverMatch) {
+  SKIP_IF_FIBER_LANES_UNDER_TSAN();
+  for (const std::string backend : {"fiber", "thread"}) {
+    SCOPED_TRACE(backend);
+    use_backend(backend);
+    Kernel k(sg::platform::make_dumbbell(1e9, 1e8, 0.0));
+    int value = 42;
+    const ActorId victim = k.spawn("victim", 0, [&] {
+      k.recv_async(k.mailbox_by_name("mb"));
+      k.send_async(k.mailbox_by_name("out"), &value, 1e3);
+      k.send_detached(k.mailbox_by_name("gift"), &value, 1e3);
+      k.sleep_for(100.0);
+    });
+    k.spawn("quitter", 0, [&] { k.recv_async(k.mailbox_by_name("late")); });
+    k.spawn("killer", 1, [&] {
+      k.sleep_for(1.0);
+      k.kill(victim);
+    });
+
+    // Each partner arrives at t=2 with a 5 s timeout: it must time out at t=7.
+    std::vector<double> timed_out_at;
+    auto partner = [&](const char* mailbox, bool sends) {
+      return [&, mailbox, sends] {
+        k.sleep_for(2.0);
+        try {
+          if (sends)
+            k.send(k.mailbox_by_name(mailbox), &value, 1e3, /*timeout=*/5.0);
+          else
+            k.recv(k.mailbox_by_name(mailbox), /*timeout=*/5.0);
+        } catch (const sg::xbt::TimeoutException&) {
+          timed_out_at.push_back(k.now());
+        }
+      };
+    };
+    k.spawn("sender", 1, partner("mb", true));
+    k.spawn("receiver", 1, partner("out", false));
+    k.spawn("late-sender", 1, partner("late", true));
+    void* gift = nullptr;
+    k.spawn("gift-receiver", 1, [&] {
+      k.sleep_for(2.0);
+      gift = k.recv(k.mailbox_by_name("gift"), /*timeout=*/5.0);
+    });
+    k.run();
+
+    EXPECT_FALSE(k.is_alive(victim));
+    EXPECT_EQ(timed_out_at, (std::vector<double>{7.0, 7.0, 7.0}));
+    EXPECT_EQ(gift, &value);
+    EXPECT_FALSE(k.deadlocked());
+  }
+}
+
 }  // namespace

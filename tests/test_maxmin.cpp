@@ -259,6 +259,9 @@ TEST(MaxMin, CapacityUpdateChangesSolution) {
 // (b) max-min optimal: every active variable is blocked by *something* — a
 // saturated shared constraint it crosses, a fatpipe cap, or its own bound.
 
+// gtest names each case after the raw bytes of its parameter, so the
+// struct spells out what would be padding (zeroed by the `{}` below), and
+// the case names are the same in every build.
 struct RandomSystemParams {
   std::uint64_t seed;
   int n_vars;
@@ -266,7 +269,9 @@ struct RandomSystemParams {
   bool with_bounds;
   bool with_fatpipes;
   bool with_weights;
+  unsigned char name_bytes[5];
 };
+static_assert(sizeof(RandomSystemParams) == 24, "RandomSystemParams must have no padding");
 
 class MaxMinProperty : public ::testing::TestWithParam<RandomSystemParams> {};
 
@@ -359,16 +364,16 @@ TEST_P(MaxMinProperty, FeasibleAndMaxMinOptimal) {
 
 INSTANTIATE_TEST_SUITE_P(
     RandomSystems, MaxMinProperty,
-    ::testing::Values(RandomSystemParams{1, 5, 3, false, false, false},
-                      RandomSystemParams{2, 10, 4, true, false, false},
-                      RandomSystemParams{3, 10, 4, false, true, false},
-                      RandomSystemParams{4, 20, 6, true, true, false},
-                      RandomSystemParams{5, 20, 6, true, true, true},
-                      RandomSystemParams{6, 50, 10, true, true, true},
-                      RandomSystemParams{7, 100, 15, true, true, true},
-                      RandomSystemParams{8, 200, 20, true, true, true},
-                      RandomSystemParams{9, 40, 2, false, false, true},
-                      RandomSystemParams{10, 8, 8, true, false, true}));
+    ::testing::Values(RandomSystemParams{1, 5, 3, false, false, false, {}},
+                      RandomSystemParams{2, 10, 4, true, false, false, {}},
+                      RandomSystemParams{3, 10, 4, false, true, false, {}},
+                      RandomSystemParams{4, 20, 6, true, true, false, {}},
+                      RandomSystemParams{5, 20, 6, true, true, true, {}},
+                      RandomSystemParams{6, 50, 10, true, true, true, {}},
+                      RandomSystemParams{7, 100, 15, true, true, true, {}},
+                      RandomSystemParams{8, 200, 20, true, true, true, {}},
+                      RandomSystemParams{9, 40, 2, false, false, true, {}},
+                      RandomSystemParams{10, 8, 8, true, false, true, {}}));
 
 // -- incremental solving --------------------------------------------------------
 
@@ -467,6 +472,36 @@ TEST(MaxMinIncremental, FatpipeBackboneDoesNotMergeComponents) {
   sys.solve();
   for (auto v : flows)
     EXPECT_NEAR(sys.value(v), 50.0, 1e-9);
+
+  // The work of a churn solve must not grow with the backbone's degree: the
+  // fatpipe caps are read from the affected flows, not from the fatpipe's
+  // user list. Churn one flow on a backbone shared by N users and count the
+  // incidence-list entries the solve reads.
+  auto churn_incidences = [](int n_users) {
+    MaxMinSystem wide;
+    const auto bb = wide.new_constraint(1e6, /*shared=*/false);
+    std::vector<MaxMinSystem::CnstId> own;
+    std::vector<MaxMinSystem::VarId> vs;
+    for (int i = 0; i < n_users; ++i) {
+      own.push_back(wide.new_constraint(100.0 + i % 7));
+      vs.push_back(wide.new_variable(1.0));
+      wide.expand(own.back(), vs.back());
+      wide.expand(bb, vs.back());
+    }
+    wide.solve();
+    const auto before = wide.solve_stats();
+    wide.release_variable(vs[0]);
+    vs[0] = wide.new_variable(1.0);
+    wide.expand(own[0], vs[0]);
+    wide.expand(bb, vs[0]);
+    wide.solve();
+    EXPECT_EQ(wide.solve_stats().full_solves, before.full_solves);
+    EXPECT_NEAR(wide.value(vs[0]), 100.0, 1e-9);
+    return wide.solve_stats().incidences_visited - before.incidences_visited;
+  };
+  const auto narrow = churn_incidences(8);
+  EXPECT_GT(narrow, 0u);
+  EXPECT_EQ(churn_incidences(4096), narrow) << "a churn solve walked the backbone's users";
 }
 
 // The headline property: after an arbitrary mutation history, the incremental

@@ -170,6 +170,43 @@ TEST(ShardedMaxMin, FatpipeCapsFoldAcrossShards) {
   EXPECT_NEAR(sys.value(other), 94.0, 1e-9);
 }
 
+TEST(ShardedMaxMin, GroupSolveWorkIsIndependentOfFatpipeDegree) {
+  // Cross-zone flows: a private zone-1 uplink, the backbone-shard fatpipe,
+  // a private zone-2 downlink. Churning one of them runs a coupled group
+  // solve; the incidence entries it reads must not grow with the number of
+  // flows sharing the fatpipe.
+  auto churn_incidences = [](int n_flows) {
+    ShardedMaxMin sys(3);
+    const auto wan = sys.new_constraint_in(0, 1e6, /*shared=*/false);
+    std::vector<ShardedMaxMin::CnstId> up, down;
+    std::vector<ShardedMaxMin::VarId> flows;
+    for (int i = 0; i < n_flows; ++i) {
+      up.push_back(sys.new_constraint_in(1, 100.0 + i % 7));
+      down.push_back(sys.new_constraint_in(2, 200.0));
+      flows.push_back(sys.new_variable(1.0));
+      sys.expand(up.back(), flows.back());
+      sys.expand(wan, flows.back());
+      sys.expand(down.back(), flows.back());
+    }
+    sys.solve();
+    const auto before = sys.solve_stats();
+    const auto groups_before = sys.group_solve_count();
+    sys.release_variable(flows[0]);
+    flows[0] = sys.new_variable(1.0);
+    sys.expand(up[0], flows[0]);
+    sys.expand(wan, flows[0]);
+    sys.expand(down[0], flows[0]);
+    sys.solve();
+    EXPECT_EQ(sys.group_solve_count(), groups_before + 1) << "churn did not take the group path";
+    EXPECT_EQ(sys.solve_stats().full_solves, before.full_solves);
+    EXPECT_NEAR(sys.value(flows[0]), 100.0, 1e-9);
+    return sys.solve_stats().incidences_visited - before.incidences_visited;
+  };
+  const auto narrow = churn_incidences(8);
+  EXPECT_GT(narrow, 0u);
+  EXPECT_EQ(churn_incidences(4096), narrow) << "a group solve walked the fatpipe's users";
+}
+
 // Regression: a local churn whose closure covers more than half of a shard's
 // live variables used to escalate to a whole-shard solve_full(), which
 // recomputed the shard's linked replicas *locally* — ignoring the sibling
